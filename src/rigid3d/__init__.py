@@ -57,7 +57,6 @@ from .se3 import (
 from .calibration import (
     HandEyeResult,
     PivotResult,
-    PoseSample,
     RegistrationResult,
     hand_eye_calibrate,
     pivot_calibrate,

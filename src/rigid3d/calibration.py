@@ -18,20 +18,13 @@ from .errors import (
     TooFewPoints,
     TooFewPoses,
 )
-from .se3 import Transform
-from .so3 import RotationMatrix, geodesic_distance, orthonormalize, so3_log
+from .se3 import Transform, _stack_transforms
+from .so3 import _check_rotation_stack, _log_stack, _row_norms, _snap_stack, orthonormalize
 from .validation import check_points
 
 SINGULAR_RATIO = 1e-9
 MAX_CONDITION = 1e8
 PARALLEL_AXIS_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class PoseSample:
-    """One recorded tracked-device pose (tracker/world frame)."""
-
-    pose: Transform
 
 
 @dataclass(frozen=True)
@@ -46,6 +39,7 @@ class PivotResult:
     tip_offset: np.ndarray  # tool frame
     pivot_point: np.ndarray  # world frame
     rms_error: float
+    per_pose_residuals: np.ndarray  # ||R_i g + t_i - b|| for each pose
 
 
 @dataclass(frozen=True)
@@ -53,6 +47,7 @@ class HandEyeResult:
     x: Transform
     rotation_rms: float
     translation_rms: float
+    per_motion_translation_residuals: np.ndarray  # ||(R_Ai - I) t_X - (R_X t_Bi - t_Ai)||
 
 
 def register_point_sets(p, q, singular_ratio: float = SINGULAR_RATIO) -> RegistrationResult:
@@ -91,26 +86,25 @@ def pivot_calibrate(samples, max_condition: float = MAX_CONDITION) -> PivotResul
     Model: R_i g + t_i = b for every pose, solved as one stacked linear
     least-squares system in (g, b).
     """
-    poses = [s.pose if isinstance(s, PoseSample) else s for s in samples]
-    n = len(poses)
+    rs, ts = _stack_transforms(samples)
+    n = len(rs)
     if n < 3:
         raise TooFewPoses("pivot calibration needs at least 3 poses")
 
-    a = np.zeros((3 * n, 6))
-    rhs = np.zeros(3 * n)
-    for i, pose in enumerate(poses):
-        a[3 * i : 3 * i + 3, :3] = pose.rotation.m
-        a[3 * i : 3 * i + 3, 3:] = -np.eye(3)
-        rhs[3 * i : 3 * i + 3] = -pose.translation
+    a = np.zeros((n, 3, 6))
+    a[:, :, :3] = rs
+    a[:, :, 3:] = -np.eye(3)
+    a = a.reshape(3 * n, 6)
+    rhs = -ts.reshape(3 * n)
 
     normal = a.T @ a
     if np.linalg.cond(normal) > max_condition:
         raise DegenerateMotion("insufficient rotational diversity: tip and pivot are not separable")
     sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
     tip, pivot = sol[:3], sol[3:]
-    errs = np.array([np.linalg.norm(p.rotation.m @ tip + p.translation - pivot) for p in poses])
+    errs = _row_norms(rs @ tip + ts - pivot)
     rms = math.sqrt(float(np.mean(errs**2)))
-    return PivotResult(tip, pivot, rms)
+    return PivotResult(tip, pivot, rms, errs)
 
 
 def hand_eye_calibrate(a_list, b_list, parallel_axis_tol: float = PARALLEL_AXIS_TOL) -> HandEyeResult:
@@ -127,53 +121,47 @@ def hand_eye_calibrate(a_list, b_list, parallel_axis_tol: float = PARALLEL_AXIS_
     if n < 2:
         raise TooFewMotions("hand-eye calibration needs at least 2 motion pairs")
 
-    alphas = [so3_log(a.rotation) for a in a_list]
-    betas = [so3_log(b.rotation) for b in b_list]
+    ra, ta = _stack_transforms(a_list)
+    rb, tb = _stack_transforms(b_list)
+    alphas = _log_stack(ra)
+    betas = _log_stack(rb)
     _check_axis_diversity(alphas, parallel_axis_tol)
 
-    m = np.zeros((3, 3))
-    for alpha, beta in zip(alphas, betas):
-        m += np.outer(beta, alpha)
+    # summed along axis 0 in order, as a running sum of outer products would be
+    m = (betas[:, :, None] * alphas[:, None, :]).sum(axis=0)
     mtm = m.T @ m
     evals, evecs = np.linalg.eigh(mtm)
     if evals[0] < 1e-12 * max(evals[-1], 1.0):
         raise DegenerateMotion("rotation axes are not diverse enough to determine X")
     inv_sqrt = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
-    r_x = orthonormalize(inv_sqrt @ m.T)
+    rot_x = orthonormalize(inv_sqrt @ m.T)
+    r_x = rot_x.m
 
-    c = np.zeros((3 * n, 3))
-    d = np.zeros(3 * n)
-    for i, (a, b) in enumerate(zip(a_list, b_list)):
-        c[3 * i : 3 * i + 3] = a.rotation.m - np.eye(3)
-        d[3 * i : 3 * i + 3] = r_x.m @ b.translation - a.translation
-    t_x, *_ = np.linalg.lstsq(c, d, rcond=None)
+    c = ra - np.eye(3)
+    d = (r_x @ tb[..., None])[..., 0] - ta
+    t_x, *_ = np.linalg.lstsq(c.reshape(3 * n, 3), d.reshape(3 * n), rcond=None)
 
-    rot_errs = [
-        geodesic_distance(
-            RotationMatrix(a.rotation.m @ r_x.m), RotationMatrix(r_x.m @ b.rotation.m)
-        )
-        for a, b in zip(a_list, b_list)
-    ]
-    trans_errs = np.linalg.norm((c @ t_x - d).reshape(n, 3), axis=1)
+    # geodesic distance between A_i R_X and R_X B_i, each product checked as a rotation
+    left = _check_rotation_stack(ra @ r_x)
+    right = _check_rotation_stack(r_x @ rb)
+    rel = _check_rotation_stack(_snap_stack(np.swapaxes(left, 1, 2) @ right))
+    rot_errs = _row_norms(_log_stack(rel))
+    trans_errs = _row_norms(c @ t_x - d)
     return HandEyeResult(
-        Transform(r_x, t_x),
+        Transform(rot_x, t_x),
         math.sqrt(float(np.mean(np.square(rot_errs)))),
         math.sqrt(float(np.mean(trans_errs**2))),
+        trans_errs,
     )
 
 
 def _check_axis_diversity(alphas, tol: float = PARALLEL_AXIS_TOL) -> None:
     """Reject motion sets whose rotation axes all lie on one line."""
-    axes = []
-    for alpha in alphas:
-        norm = np.linalg.norm(alpha)
-        if norm > 1e-12:
-            axes.append(alpha / norm)
+    norms = _row_norms(alphas)
+    rotating = norms > 1e-12
+    axes = alphas[rotating] / norms[rotating, None]
     if len(axes) < 2:
         raise DegenerateMotion("need at least 2 motions with nonzero rotation")
-    ref = axes[0]
-    for axis in axes[1:]:
-        angle = math.acos(max(-1.0, min(1.0, abs(float(ref @ axis)))))
-        if angle > tol:
-            return
-    raise DegenerateMotion("all rotation axes are parallel: X is not unique")
+    angles = np.arccos(np.minimum(np.abs(axes[1:] @ axes[0]), 1.0))
+    if not np.any(angles > tol):
+        raise DegenerateMotion("all rotation axes are parallel: X is not unique")

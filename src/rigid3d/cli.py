@@ -189,29 +189,22 @@ def _cmd_register(args):
 def _cmd_pivot(args):
     poses = [r.to_transform() for r in _load_poses(args.poses)]
     res = pivot_calibrate(poses)
-    errs = [
-        np.linalg.norm(p.rotation.m @ res.tip_offset + p.translation - res.pivot_point)
-        for p in poses
-    ]
     result = {"tip_offset": res.tip_offset.tolist(), "pivot_point": res.pivot_point.tolist()}
-    return result, _residuals(errs), f"pivot calibration over {len(poses)} poses, rms {res.rms_error:.6g}"
+    return (
+        result,
+        _residuals(res.per_pose_residuals),
+        f"pivot calibration over {len(poses)} poses, rms {res.rms_error:.6g}",
+    )
 
 
 def _cmd_handeye(args):
     a_motions = relative_motions([r.to_transform() for r in _load_poses(args.stream_a)])
     b_motions = relative_motions([r.to_transform() for r in _load_poses(args.stream_b)])
     res = hand_eye_calibrate(a_motions, b_motions)
-    trans_errs = [
-        np.linalg.norm(
-            (a.rotation.m - np.eye(3)) @ res.x.translation
-            - (res.x.rotation.m @ b.translation - a.translation)
-        )
-        for a, b in zip(a_motions, b_motions)
-    ]
     result = {"pose": _pose_dict(res.x), "rotation_rms_rad": res.rotation_rms}
     return (
         result,
-        _residuals(trans_errs),
+        _residuals(res.per_motion_translation_residuals),
         f"hand-eye over {len(a_motions)} motions, rot rms {res.rotation_rms:.6g} rad",
     )
 

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import inspect
 
-import numpy as np
-
 from .calibration import hand_eye_calibrate, pivot_calibrate, register_point_sets
 from .errors import Rigid3dError
-from .se3 import Transform, transform_point
+from .se3 import _build_transforms, _compose_stack, _stack_transforms, inverse
 from .validation import check_points
 
 
@@ -101,7 +99,8 @@ class PivotCalibrator(BaseEstimator):
     def predict(self, X):
         """World-frame tip position for each pose in X."""
         self._fitted("tip_offset_")
-        return np.array([transform_point(p, self.tip_offset_) for p in X])
+        rs, ts = _stack_transforms(X)
+        return rs @ self.tip_offset_ + ts
 
 
 class HandEyeCalibrator(BaseEstimator):
@@ -124,7 +123,7 @@ class HandEyeCalibrator(BaseEstimator):
     def predict(self, X):
         """Map each motion A to the predicted motion B = X^-1 A X."""
         self._fitted("transform_")
-        from .se3 import compose, inverse
-
-        x = self.transform_
-        return [compose(compose(inverse(x), a), x) for a in X]
+        x, x_inv = self.transform_, inverse(self.transform_)
+        rs, ts = _stack_transforms(X)
+        rs, ts = _compose_stack(x_inv.rotation.m, x_inv.translation, rs, ts)
+        return _build_transforms(*_compose_stack(rs, ts, x.rotation.m, x.translation))

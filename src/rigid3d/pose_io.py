@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonUnitQuaternion, ParseError, TooFewPoses
-from .se3 import Transform, compose, inverse
+from .se3 import Transform, _build_transforms, _compose_stack, _inverse_stack, _stack_transforms
 from .so3 import UnitQuaternion, matrix_to_quat, quat_to_matrix
 
 POSE_HEADER = "tx,ty,tz,qw,qx,qy,qz"
@@ -114,7 +114,9 @@ def relative_motions(poses) -> list[Transform]:
     poses = list(poses)
     if len(poses) < 2:
         raise TooFewPoses("need at least 2 poses to form relative motions")
-    return [compose(inverse(poses[i]), poses[i + 1]) for i in range(len(poses) - 1)]
+    rs, ts = _stack_transforms(poses)
+    inv_r, inv_t = _inverse_stack(rs[:-1], ts[:-1])
+    return _build_transforms(*_compose_stack(inv_r, inv_t, rs[1:], ts[1:]))
 
 
 def _fmt(x: float) -> str:

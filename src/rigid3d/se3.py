@@ -13,8 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidHomogeneousRow, NotARotation
-from .so3 import RotationMatrix, _snap, hat3, orthonormalize, so3_exp, so3_log
-from .validation import check_matrix, check_vector, freeze
+from .so3 import (
+    RotationMatrix,
+    _check_rotation_stack,
+    _snap,
+    _snap_stack,
+    hat3,
+    orthonormalize,
+    so3_exp,
+    so3_log,
+)
+from .validation import check_matrix, check_points, check_vector, freeze
 
 _V_SMALL = 1e-8
 _VINV_SMALL = 1e-4  # closed form cancels catastrophically below this angle
@@ -174,3 +183,49 @@ def from_matrix4(m) -> Transform:
     else:
         raise NotARotation("rotation block deviates from SO(3) beyond the 1e-4 repair threshold")
     return Transform(rot, m[:3, 3])
+
+
+def _stack_transforms(transforms) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (n, 3, 3) and translations (n, 3) of an iterable of Transforms."""
+    transforms = list(transforms)
+    rs = np.array([t.rotation.m for t in transforms]).reshape(-1, 3, 3)
+    ts = np.array([t.translation for t in transforms]).reshape(-1, 3)
+    return rs, ts
+
+
+def _inverse_stack(rs, ts) -> tuple[np.ndarray, np.ndarray]:
+    """inverse over stacks, its transposed rotations checked as one stack.
+
+    The rotations are returned as transposed views, not copies: inverse()
+    and compose() multiply with that layout, and BLAS may round a
+    row-major copy differently.
+    """
+    rt = _check_rotation_stack(np.swapaxes(rs, 1, 2))
+    return rt, -(rt @ ts[..., None])[..., 0]
+
+
+def _compose_stack(ra, ta, rb, tb) -> tuple[np.ndarray, np.ndarray]:
+    """compose over stacks; either side may be a single (3, 3), (3,) element.
+
+    The products are checked as one stack, as compose checks each one.
+    """
+    r = _check_rotation_stack(_snap_stack(ra @ rb))
+    return r, (ra @ tb[..., None])[..., 0] + ta
+
+
+def _build_transforms(rs: np.ndarray, ts: np.ndarray) -> list[Transform]:
+    """Transforms over a rotation stack that has already been checked.
+
+    The translations get Transform's finiteness check as one stack; the
+    rotations are not checked again element by element.
+    """
+    rs, ts = freeze(rs), freeze(check_points(ts, "translation"))
+    out = []
+    for m, t in zip(rs, ts):
+        rot = object.__new__(RotationMatrix)
+        object.__setattr__(rot, "m", m)
+        tf = object.__new__(Transform)
+        object.__setattr__(tf, "rotation", rot)
+        object.__setattr__(tf, "translation", t)
+        out.append(tf)
+    return out

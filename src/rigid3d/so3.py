@@ -65,7 +65,7 @@ class UnitQuaternion:
 
     def __post_init__(self):
         n = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-        if abs(n - 1.0) > 1e-6:
+        if not abs(n - 1.0) <= 1e-6:  # written so that a NaN norm is rejected
             raise NotUnitQuaternion(f"quaternion norm {n:.9g} deviates from 1 by more than 1e-6")
         object.__setattr__(self, "w", float(self.w) / n)
         object.__setattr__(self, "x", float(self.x) / n)
@@ -336,3 +336,63 @@ def _snap(m: np.ndarray) -> np.ndarray:
         u, _, vt = np.linalg.svd(m)
         m = u @ np.diag([1.0, 1.0, np.linalg.det(u @ vt)]) @ vt
     return m
+
+
+# Stacked kernels over (n, 3, 3) rotation and (n, 3) vector stacks. The
+# solvers use them in place of per-sample loops over the scalar functions
+# above; each gives, bit for bit, what that loop gives.
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (n, k) array.
+
+    A row-by-row dot product, the sum np.linalg.norm takes of one vector:
+    np.linalg.norm(x, axis=1) sums in another order and can differ in the
+    last bit.
+    """
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
+def _ortho_drift(ms: np.ndarray) -> np.ndarray:
+    """||R^T R - I|| of each element of an (n, 3, 3) stack, as RotationMatrix computes it."""
+    return _row_norms((np.swapaxes(ms, 1, 2) @ ms - np.eye(3)).reshape(-1, 9))
+
+
+def _check_rotation_stack(ms: np.ndarray) -> np.ndarray:
+    """Apply RotationMatrix's checks to every element of an (n, 3, 3) stack.
+
+    The elements the vectorised test flags are then built one at a time,
+    so the first bad one raises exactly what RotationMatrix raises.
+    """
+    with np.errstate(invalid="ignore"):  # non-finite elements are flagged below
+        drift = _ortho_drift(ms)
+        det_err = np.abs(np.linalg.det(ms) - 1.0)
+    for i in np.flatnonzero(~((drift <= ORTHO_TOL) & (det_err <= ORTHO_TOL))):
+        RotationMatrix(ms[i])
+    return ms
+
+
+def _snap_stack(ms: np.ndarray) -> np.ndarray:
+    """_snap of every element of an (n, 3, 3) stack, in place."""
+    for i in np.flatnonzero(_ortho_drift(ms) > ORTHO_TOL):
+        ms[i] = _snap(ms[i])
+    return ms
+
+
+def _log_stack(ms: np.ndarray) -> np.ndarray:
+    """so3_log of every element of a validated (n, 3, 3) stack, as (n, 3).
+
+    Angles and sines come from math.acos and math.sin element by element:
+    np.arccos and np.sin may use SIMD code that differs from so3_log in the
+    last bit. Elements near pi go to so3_log itself, which owns the
+    axis-sign rule there.
+    """
+    cos_theta = np.clip((np.trace(ms, axis1=1, axis2=2) - 1.0) / 2.0, -1.0, 1.0)
+    theta = np.array([math.acos(c) for c in cos_theta])
+    w = np.stack([ms[:, 2, 1] - ms[:, 1, 2], ms[:, 0, 2] - ms[:, 2, 0], ms[:, 1, 0] - ms[:, 0, 1]], axis=1) / 2.0
+    mid = (theta >= SMALL_ANGLE) & (theta <= NEAR_PI)
+    scale = np.array([t / (2.0 * math.sin(t)) for t in theta[mid]])
+    w[mid] = scale.reshape(-1, 1) * (2.0 * w[mid])
+    for i in np.flatnonzero(theta > NEAR_PI):
+        w[i] = so3_log(ms[i])
+    return w

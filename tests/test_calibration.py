@@ -125,7 +125,7 @@ class TestPivot:
 
     def test_accepts_pose_samples(self, rng):
         tip, pivot, poses = synthetic_pivot(rng, n=5)
-        res = r.pivot_calibrate([r.PoseSample(p) for p in poses])
+        res = r.pivot_calibrate(p for p in poses)
         assert np.linalg.norm(res.tip_offset - tip) < 1e-9
 
     def test_shared_rotation_rejected(self, rng):

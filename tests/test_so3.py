@@ -172,6 +172,13 @@ class TestQuaternion:
         with pytest.raises(NotUnitQuaternion):
             r.UnitQuaternion(1.1, 0, 0, 0)
 
+    @pytest.mark.parametrize("slot", range(4))
+    def test_rejects_nan(self, slot):
+        q = [1.0, 0.0, 0.0, 0.0]
+        q[slot] = math.nan
+        with pytest.raises(NotUnitQuaternion):
+            r.UnitQuaternion(*q)
+
 
 class TestEuler:
     def test_zero_angles(self):

@@ -19,8 +19,8 @@ from .errors import (
     TooFewPoses,
 )
 from .se3 import Transform, _stack_transforms
-from .so3 import _check_rotation_stack, _log_stack, _row_norms, _snap_stack, orthonormalize
-from .validation import check_points
+from .so3 import _check_rotation_stack, _log_stack, _project, _row_norms, _snap_stack, orthonormalize
+from .validation import check_matrix
 
 SINGULAR_RATIO = 1e-9
 MAX_CONDITION = 1e8
@@ -56,8 +56,8 @@ def register_point_sets(p, q, singular_ratio: float = SINGULAR_RATIO) -> Registr
     SVD (Arun/Kabsch) method with the determinant correction, so the
     result is always a proper rotation. Correspondence is index-wise.
     """
-    p = check_points(p, "source points")
-    q = check_points(q, "target points")
+    p = check_matrix(p, (None, 3), "source points")
+    q = check_matrix(q, (None, 3), "target points")
     if p.shape[0] != q.shape[0]:
         raise TooFewPoints("point sets must have equal length")
     if p.shape[0] < 3:
@@ -67,12 +67,9 @@ def register_point_sets(p, q, singular_ratio: float = SINGULAR_RATIO) -> Registr
     q_bar = q.mean(axis=0)
     h = (p - p_bar).T @ (q - q_bar)
     u, sigma, vt = np.linalg.svd(h)
-    if sigma[1] < singular_ratio * sigma[0] and sigma[2] < singular_ratio * sigma[0]:
+    if sigma[1] < singular_ratio * sigma[0]:  # sorted, so sigma[2] is below the ratio too
         raise DegenerateGeometry("points are collinear: rotation about the line is unconstrained")
-    v = vt.T
-    d = np.linalg.det(v @ u.T)
-    r = v @ np.diag([1.0, 1.0, d]) @ u.T
-    rot = orthonormalize(r)
+    rot = orthonormalize(_project(vt.T, u.T))
     t = q_bar - rot.m @ p_bar
     transform = Transform(rot, t)
     residuals = np.linalg.norm((p @ rot.m.T + t) - q, axis=1)

@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     Rigid3dError,
 )
-from .pose_io import PoseRecord, parse_points_csv, parse_pose_csv, relative_motions, report_json
+from .pose_io import QUAT_REJECT_TOL, PoseRecord, parse_points_csv, parse_pose_csv, relative_motions, report_json
 from .se3 import Twist, compose, se3_exp, se3_log, to_matrix4
 from .so3 import EulerConvention, matrix_to_euler, so3_log
 
@@ -109,7 +109,7 @@ def _single_pose(args):
     if args.pose is not None:
         vals = _inline_floats(args.pose, 7, "--pose")
         norm = math.sqrt(sum(v * v for v in vals[3:]))
-        if abs(norm - 1.0) > 1e-3:
+        if abs(norm - 1.0) > QUAT_REJECT_TOL:
             raise UsageError("--pose quaternion is not unit norm")
         return PoseRecord(*vals[:3], *[v / norm for v in vals[3:]]).to_transform()
     records = _load_poses(args.input)
@@ -123,10 +123,8 @@ def _pose_dict(t) -> dict:
     return {"tx": r.tx, "ty": r.ty, "tz": r.tz, "qw": r.qw, "qx": r.qx, "qy": r.qy, "qz": r.qz}
 
 
-def _residuals(errs) -> dict:
-    errs = np.asarray(errs, dtype=float)
-    rms = math.sqrt(float(np.mean(errs**2))) if errs.size else 0.0
-    return {"rms": rms, "max": float(errs.max()) if errs.size else 0.0, "count": int(errs.size)}
+def _residuals(rms: float, errs: np.ndarray) -> dict:
+    return {"rms": rms, "max": float(errs.max()), "count": int(errs.size)}
 
 
 def _cmd_convert(args):
@@ -181,7 +179,7 @@ def _cmd_register(args):
     res = register_point_sets(p, q)
     return (
         {"pose": _pose_dict(res.transform)},
-        _residuals(res.per_point_residuals),
+        _residuals(res.rms_error, res.per_point_residuals),
         f"registered {p.shape[0]} point pairs, rms {res.rms_error:.6g}",
     )
 
@@ -192,7 +190,7 @@ def _cmd_pivot(args):
     result = {"tip_offset": res.tip_offset.tolist(), "pivot_point": res.pivot_point.tolist()}
     return (
         result,
-        _residuals(res.per_pose_residuals),
+        _residuals(res.rms_error, res.per_pose_residuals),
         f"pivot calibration over {len(poses)} poses, rms {res.rms_error:.6g}",
     )
 
@@ -204,7 +202,7 @@ def _cmd_handeye(args):
     result = {"pose": _pose_dict(res.x), "rotation_rms_rad": res.rotation_rms}
     return (
         result,
-        _residuals(res.per_motion_translation_residuals),
+        _residuals(res.translation_rms, res.per_motion_translation_residuals),
         f"hand-eye over {len(a_motions)} motions, rot rms {res.rotation_rms:.6g} rad",
     )
 

@@ -13,7 +13,7 @@ import inspect
 from .calibration import hand_eye_calibrate, pivot_calibrate, register_point_sets
 from .errors import Rigid3dError
 from .se3 import _build_transforms, _compose_stack, _stack_transforms, inverse
-from .validation import check_points
+from .validation import check_matrix
 
 
 class NotFittedError(Rigid3dError):
@@ -70,7 +70,7 @@ class RigidRegistration(BaseEstimator):
     def transform(self, X):
         """Apply the fitted rigid transform to an (n, 3) point array."""
         self._fitted("transform_")
-        pts = check_points(X)
+        pts = check_matrix(X, (None, 3), "points")
         return pts @ self.transform_.rotation.m.T + self.transform_.translation
 
     def fit_transform(self, X, y):

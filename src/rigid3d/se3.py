@@ -23,7 +23,7 @@ from .so3 import (
     so3_exp,
     so3_log,
 )
-from .validation import check_matrix, check_points, check_vector, freeze
+from .validation import check_matrix, freeze
 
 _V_SMALL = 1e-8
 _VINV_SMALL = 1e-4  # closed form cancels catastrophically below this angle
@@ -39,7 +39,7 @@ class Transform:
     def __post_init__(self):
         if not isinstance(self.rotation, RotationMatrix):
             object.__setattr__(self, "rotation", RotationMatrix(self.rotation))
-        object.__setattr__(self, "translation", freeze(check_vector(self.translation, 3, "translation")))
+        object.__setattr__(self, "translation", freeze(check_matrix(self.translation, (3,), "translation")))
 
     @staticmethod
     def identity() -> "Transform":
@@ -54,15 +54,15 @@ class Twist:
     w: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "v", freeze(check_vector(self.v, 3, "twist linear part")))
-        object.__setattr__(self, "w", freeze(check_vector(self.w, 3, "twist angular part")))
+        object.__setattr__(self, "v", freeze(check_matrix(self.v, (3,), "twist linear part")))
+        object.__setattr__(self, "w", freeze(check_matrix(self.w, (3,), "twist angular part")))
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.v, self.w])
 
     @staticmethod
     def from_array(xi) -> "Twist":
-        xi = check_vector(xi, 6, "twist")
+        xi = check_matrix(xi, (6,), "twist")
         return Twist(xi[:3], xi[3:])
 
 
@@ -74,8 +74,8 @@ class Wrench:
     tau: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "f", freeze(check_vector(self.f, 3, "force")))
-        object.__setattr__(self, "tau", freeze(check_vector(self.tau, 3, "torque")))
+        object.__setattr__(self, "f", freeze(check_matrix(self.f, (3,), "force")))
+        object.__setattr__(self, "tau", freeze(check_matrix(self.tau, (3,), "torque")))
 
 
 def compose(a: Transform, b: Transform) -> Transform:
@@ -91,11 +91,11 @@ def inverse(t: Transform) -> Transform:
 
 
 def transform_point(t: Transform, p) -> np.ndarray:
-    return t.rotation.m @ check_vector(p, 3, "point") + t.translation
+    return t.rotation.m @ check_matrix(p, (3,), "point") + t.translation
 
 
 def transform_direction(t: Transform, v) -> np.ndarray:
-    return t.rotation.m @ check_vector(v, 3, "direction")
+    return t.rotation.m @ check_matrix(v, (3,), "direction")
 
 
 def _v_matrix(w: np.ndarray) -> np.ndarray:
@@ -175,13 +175,12 @@ def from_matrix4(m) -> Transform:
     if np.linalg.norm(m[3] - np.array([0.0, 0.0, 0.0, 1.0])) > 1e-9:
         raise InvalidHomogeneousRow("last row must be (0, 0, 0, 1)")
     block = m[:3, :3]
-    drift = np.linalg.norm(block.T @ block - np.eye(3))
-    if drift <= 1e-9 and abs(np.linalg.det(block) - 1.0) <= 1e-9:
+    try:
         rot = RotationMatrix(block)
-    elif drift < 1e-4:
+    except NotARotation:
+        if not np.linalg.norm(block.T @ block - np.eye(3)) < 1e-4:
+            raise NotARotation("rotation block deviates from SO(3) beyond the 1e-4 repair threshold") from None
         rot = orthonormalize(block)
-    else:
-        raise NotARotation("rotation block deviates from SO(3) beyond the 1e-4 repair threshold")
     return Transform(rot, m[:3, 3])
 
 
@@ -219,7 +218,7 @@ def _build_transforms(rs: np.ndarray, ts: np.ndarray) -> list[Transform]:
     The translations get Transform's finiteness check as one stack; the
     rotations are not checked again element by element.
     """
-    rs, ts = freeze(rs), freeze(check_points(ts, "translation"))
+    rs, ts = freeze(rs), freeze(check_matrix(ts, (None, 3), "translation"))
     out = []
     for m, t in zip(rs, ts):
         rot = object.__new__(RotationMatrix)

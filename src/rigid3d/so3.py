@@ -24,7 +24,7 @@ from .errors import (
     NotUnitQuaternion,
     UnsupportedConvention,
 )
-from .validation import check_matrix, check_vector, freeze
+from .validation import check_matrix, freeze
 
 ORTHO_TOL = 1e-9
 SMALL_ANGLE = 1e-8
@@ -39,9 +39,10 @@ class RotationMatrix:
 
     def __post_init__(self):
         m = check_matrix(self.m, (3, 3), "rotation matrix")
-        if np.linalg.norm(m.T @ m - np.eye(3)) > ORTHO_TOL:
+        # written so that a NaN drift or determinant (overflow) is rejected
+        if not np.linalg.norm(m.T @ m - np.eye(3)) <= ORTHO_TOL:
             raise NotARotation("matrix is not orthogonal within 1e-9")
-        if abs(np.linalg.det(m) - 1.0) > ORTHO_TOL:
+        if not abs(np.linalg.det(m) - 1.0) <= ORTHO_TOL:
             raise NotARotation("matrix determinant is not +1 within 1e-9")
         object.__setattr__(self, "m", freeze(m))
 
@@ -79,15 +80,7 @@ class UnitQuaternion:
     def canonical(self) -> "UnitQuaternion":
         """Flip sign so w >= 0; at w == 0 the first nonzero of (x, y, z) is positive."""
         w, x, y, z = self.w, self.x, self.y, self.z
-        flip = False
-        if w < 0.0:
-            flip = True
-        elif w == 0.0:
-            for c in (x, y, z):
-                if c != 0.0:
-                    flip = c < 0.0
-                    break
-        if flip:
+        if w < 0.0 or (w == 0.0 and _first_nonzero_negative((x, y, z))):
             return UnitQuaternion(-w, -x, -y, -z)
         return self
 
@@ -115,12 +108,12 @@ class EulerAngles:
     def __post_init__(self):
         if not isinstance(self.convention, EulerConvention):
             raise UnsupportedConvention(f"unknown Euler convention: {self.convention!r}")
-        object.__setattr__(self, "angles", freeze(check_vector(self.angles, 3, "euler angles")))
+        object.__setattr__(self, "angles", freeze(check_matrix(self.angles, (3,), "euler angles")))
 
 
 def hat3(v) -> np.ndarray:
     """Cross-product matrix: hat3(v) @ u == cross(v, u)."""
-    x, y, z = check_vector(v, 3, "vector")
+    x, y, z = check_matrix(v, (3,), "vector")
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
@@ -134,7 +127,7 @@ def vee3(s) -> np.ndarray:
 
 def so3_exp(r) -> RotationMatrix:
     """Rodrigues formula; Taylor coefficients below the small-angle threshold."""
-    r = check_vector(r, 3, "rotation vector")
+    r = check_matrix(r, (3,), "rotation vector")
     theta = np.linalg.norm(r)
     k = hat3(r)
     if theta < SMALL_ANGLE:
@@ -169,15 +162,9 @@ def so3_log(r_mat: RotationMatrix) -> np.ndarray:
         axis = n[:, k] / math.sqrt(n[k, k])
         axis /= np.linalg.norm(axis)
         s = float(axis @ w)  # = sin(theta) when the sign is right
-        if s < 0.0:
+        # at theta == pi exactly s is 0 and either sign is valid: the axis decides
+        if s < 0.0 or (s == 0.0 and _first_nonzero_negative(axis)):
             axis, s = -axis, -s
-        elif s == 0.0:
-            # theta == pi exactly: either sign is valid, pick deterministically
-            for c in axis:
-                if c != 0.0:
-                    if c < 0.0:
-                        axis = -axis
-                    break
         theta = math.pi - math.asin(min(1.0, s))
         return theta * axis
     return (theta / (2.0 * math.sin(theta))) * (2.0 * w)
@@ -249,16 +236,9 @@ def _rz(a: float) -> np.ndarray:
 
 
 def euler_to_matrix(e: EulerAngles) -> RotationMatrix:
-    if e.convention is EulerConvention.ZYX_INTRINSIC:
-        roll, pitch, yaw = e.angles
-        m = _rz(yaw) @ _ry(pitch) @ _rx(roll)
-    elif e.convention is EulerConvention.XYZ_EXTRINSIC:
-        ax, ay, az = e.angles
-        # fixed-axis x, y, z left-multiplies: same product, same angle slots
-        m = _rz(az) @ _ry(ay) @ _rx(ax)
-    else:  # pragma: no cover - enum is closed
-        raise UnsupportedConvention(f"unknown Euler convention: {e.convention!r}")
-    return RotationMatrix(_snap(m))
+    """Rz Ry Rx: both conventions store the angles about x, y and z, in that order."""
+    ax, ay, az = e.angles
+    return RotationMatrix(_snap(_rz(az) @ _ry(ay) @ _rx(ax)))
 
 
 def matrix_to_euler(
@@ -288,7 +268,7 @@ def matrix_to_euler(
 
 def rotate(r_mat: RotationMatrix, v) -> np.ndarray:
     """Apply the rotation to a 3-vector."""
-    return _as_rotation(r_mat) @ check_vector(v, 3, "vector")
+    return _as_rotation(r_mat) @ check_matrix(v, (3,), "vector")
 
 
 def orthonormalize(m) -> RotationMatrix:
@@ -297,11 +277,10 @@ def orthonormalize(m) -> RotationMatrix:
     u, sigma, vt = np.linalg.svd(m)
     if sigma[-1] < 1e-9:
         raise DegenerateMatrix("matrix is singular: smallest singular value below 1e-9")
-    d = np.linalg.det(u @ vt)
-    r = u @ np.diag([1.0, 1.0, d]) @ vt
+    r = _project(u, vt)
     if np.linalg.norm(m - r) > 0.5:
         raise DegenerateMatrix("matrix is too far from SO(3) to repair")
-    return RotationMatrix(_snap(r))
+    return RotationMatrix(r)
 
 
 def geodesic_distance(a: RotationMatrix, b: RotationMatrix) -> float:
@@ -334,8 +313,21 @@ def _snap(m: np.ndarray) -> np.ndarray:
     """Re-orthonormalize only if numerical drift exceeds the type tolerance."""
     if np.linalg.norm(m.T @ m - np.eye(3)) > ORTHO_TOL:
         u, _, vt = np.linalg.svd(m)
-        m = u @ np.diag([1.0, 1.0, np.linalg.det(u @ vt)]) @ vt
+        m = _project(u, vt)
     return m
+
+
+def _project(u: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """u diag(1, 1, det(u vt)) vt: the rotation nearest to u S vt, with any reflection removed."""
+    return u @ np.diag([1.0, 1.0, np.linalg.det(u @ vt)]) @ vt
+
+
+def _first_nonzero_negative(components) -> bool:
+    """Sign tie-break: True when the first nonzero component is negative, so a flip makes it positive."""
+    for c in components:
+        if c != 0.0:
+            return c < 0.0
+    return False
 
 
 # Stacked kernels over (n, 3, 3) rotation and (n, 3) vector stacks. The

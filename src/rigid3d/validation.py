@@ -7,31 +7,12 @@ import numpy as np
 from .errors import Rigid3dError
 
 
-def check_vector(v, size: int, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite float64 vector of the given length."""
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (size,):
-        raise Rigid3dError(f"{name} must have shape ({size},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise Rigid3dError(f"{name} contains non-finite values")
-    return arr
-
-
-def check_matrix(m, shape: tuple[int, int], name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite float64 matrix of the given shape."""
-    arr = np.asarray(m, dtype=float)
-    if arr.shape != shape:
-        raise Rigid3dError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise Rigid3dError(f"{name} contains non-finite values")
-    return arr
-
-
-def check_points(points, name: str = "points") -> np.ndarray:
-    """Coerce a sequence of 3-vectors to an (n, 3) float64 array."""
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise Rigid3dError(f"{name} must have shape (n, 3), got {arr.shape}")
+def check_matrix(x, shape: tuple, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite float64 array of the given shape; None in shape matches any length."""
+    arr = np.asarray(x, dtype=float)
+    # the exact comparison first keeps the fixed-shape path as cheap as a plain shape test
+    if arr.shape != shape and (arr.ndim != len(shape) or any(s not in (None, a) for s, a in zip(shape, arr.shape))):
+        raise Rigid3dError(f"{name} must have shape {str(shape).replace('None', 'n')}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise Rigid3dError(f"{name} contains non-finite values")
     return arr

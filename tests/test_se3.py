@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rigid3d as r
-from rigid3d.errors import InvalidHomogeneousRow, NotARotation
+from rigid3d.errors import DegenerateMatrix, InvalidHomogeneousRow, NotARotation
 
 from conftest import random_transform
 
@@ -232,4 +232,15 @@ class TestHomogeneous:
         m = r.to_matrix4(random_transform(rng))
         m[:3, :3] *= 1.01
         with pytest.raises(NotARotation):
+            r.from_matrix4(m)
+
+    def test_valid_block_kept_bitwise(self, rng):
+        for _ in range(50):
+            m = r.to_matrix4(random_transform(rng))
+            assert r.to_matrix4(r.from_matrix4(m)).tobytes() == m.tobytes()
+
+    def test_rejects_reflection(self, rng):
+        m = r.to_matrix4(random_transform(rng))
+        m[:3, 2] *= -1.0  # orthogonal block with det -1: no drift to repair
+        with pytest.raises(DegenerateMatrix, match="too far from SO"):
             r.from_matrix4(m)

@@ -172,6 +172,20 @@ class TestQuaternion:
         with pytest.raises(NotUnitQuaternion):
             r.UnitQuaternion(1.1, 0, 0, 0)
 
+    def test_canonical_tie_break_at_zero_w(self):
+        q = r.UnitQuaternion(0.0, 0.0, -0.6, 0.8).canonical()
+        assert (q.w, q.x) == (0.0, 0.0) and q.y > 0.0 and q.z < 0.0
+
+    @pytest.mark.parametrize("axis", [(0.0, 1.0, 0.0), (0.0, 0.6, -0.8), (0.0, -0.6, 0.8), (0.0, 0.0, -1.0)])
+    def test_half_turn_first_nonzero_positive(self, axis):
+        # exact half turns have no sign information: log and quaternion both take the axis
+        # whose first nonzero component is positive
+        a = np.array(axis)
+        half = r.RotationMatrix(2.0 * np.outer(a, a) - np.eye(3))
+        expected = a if a[np.flatnonzero(a)[0]] > 0.0 else -a
+        np.testing.assert_allclose(r.so3_log(half), math.pi * expected, atol=1e-12)
+        np.testing.assert_allclose(r.matrix_to_quat(half).components(), [0.0, *expected], atol=1e-12)
+
     @pytest.mark.parametrize("slot", range(4))
     def test_rejects_nan(self, slot):
         q = [1.0, 0.0, 0.0, 0.0]
@@ -202,6 +216,20 @@ class TestEuler:
             e = r.EulerAngles(np.array([roll, pitch, yaw]), r.EulerConvention.ZYX_INTRINSIC)
             expected = rot_about(2, yaw) @ rot_about(1, pitch) @ rot_about(0, roll)
             np.testing.assert_allclose(r.euler_to_matrix(e).m, expected, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "convention, sequence, order",
+        [
+            (r.EulerConvention.ZYX_INTRINSIC, "ZYX", [2, 1, 0]),  # (roll, pitch, yaw) -> [yaw, pitch, roll]
+            (r.EulerConvention.XYZ_EXTRINSIC, "xyz", [0, 1, 2]),
+        ],
+    )
+    def test_matches_scipy(self, rng, convention, sequence, order):
+        rotation = pytest.importorskip("scipy.spatial.transform").Rotation  # test-only oracle
+        for _ in range(200):
+            angles = rng.uniform(-math.pi, math.pi, 3)
+            expected = rotation.from_euler(sequence, angles[order]).as_matrix()
+            np.testing.assert_allclose(r.euler_to_matrix(r.EulerAngles(angles, convention)).m, expected, atol=1e-12)
 
     def test_matrix_to_euler_identity(self):
         e, locked = r.matrix_to_euler(r.RotationMatrix.identity())

@@ -50,7 +50,7 @@ class HandEyeResult:
     per_motion_translation_residuals: np.ndarray  # ||(R_Ai - I) t_X - (R_X t_Bi - t_Ai)||
 
 
-def register_point_sets(p, q, singular_ratio: float = SINGULAR_RATIO) -> RegistrationResult:
+def register_point_sets(p, q) -> RegistrationResult:
     """Least-squares rigid transform T minimizing sum ||T p_i - q_i||^2.
 
     SVD (Arun/Kabsch) method with the determinant correction, so the
@@ -67,7 +67,7 @@ def register_point_sets(p, q, singular_ratio: float = SINGULAR_RATIO) -> Registr
     q_bar = q.mean(axis=0)
     h = (p - p_bar).T @ (q - q_bar)
     u, sigma, vt = np.linalg.svd(h)
-    if sigma[1] < singular_ratio * sigma[0]:  # sorted, so sigma[2] is below the ratio too
+    if sigma[1] < SINGULAR_RATIO * sigma[0]:  # sorted, so sigma[2] is below the ratio too
         raise DegenerateGeometry("points are collinear: rotation about the line is unconstrained")
     rot = orthonormalize(_project(vt.T, u.T))
     t = q_bar - rot.m @ p_bar
@@ -77,7 +77,7 @@ def register_point_sets(p, q, singular_ratio: float = SINGULAR_RATIO) -> Registr
     return RegistrationResult(transform, rms, residuals)
 
 
-def pivot_calibrate(samples, max_condition: float = MAX_CONDITION) -> PivotResult:
+def pivot_calibrate(samples) -> PivotResult:
     """Tool-tip and pivot point from poses rotating about a fixed point.
 
     Model: R_i g + t_i = b for every pose, solved as one stacked linear
@@ -94,17 +94,17 @@ def pivot_calibrate(samples, max_condition: float = MAX_CONDITION) -> PivotResul
     a = a.reshape(3 * n, 6)
     rhs = -ts.reshape(3 * n)
 
-    normal = a.T @ a
-    if np.linalg.cond(normal) > max_condition:
+    sol, _, _, sv = np.linalg.lstsq(a, rhs, rcond=None)
+    # cond(A^T A) = (s_max / s_min)^2, compared without dividing so rank deficiency is rejected too
+    if sv[0] ** 2 > MAX_CONDITION * sv[-1] ** 2:
         raise DegenerateMotion("insufficient rotational diversity: tip and pivot are not separable")
-    sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
     tip, pivot = sol[:3], sol[3:]
     errs = _row_norms(rs @ tip + ts - pivot)
     rms = math.sqrt(float(np.mean(errs**2)))
     return PivotResult(tip, pivot, rms, errs)
 
 
-def hand_eye_calibrate(a_list, b_list, parallel_axis_tol: float = PARALLEL_AXIS_TOL) -> HandEyeResult:
+def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
     """Solve A_i X = X B_i for relative-motion pairs (A_i, B_i).
 
     Separable two-stage least squares: the rotation from the log-map
@@ -115,14 +115,14 @@ def hand_eye_calibrate(a_list, b_list, parallel_axis_tol: float = PARALLEL_AXIS_
     if len(a_list) != len(b_list):
         raise TooFewMotions("motion lists must have equal length")
     n = len(a_list)
-    if n < 2:
-        raise TooFewMotions("hand-eye calibration needs at least 2 motion pairs")
+    if n < 3:  # M = sum beta_i alpha_i^T has rank <= n, and R needs rank 3
+        raise TooFewMotions("hand-eye calibration needs at least 3 motion pairs")
 
     ra, ta = _stack_transforms(a_list)
     rb, tb = _stack_transforms(b_list)
     alphas = _log_stack(ra)
     betas = _log_stack(rb)
-    _check_axis_diversity(alphas, parallel_axis_tol)
+    _check_axis_diversity(alphas)
 
     # summed along axis 0 in order, as a running sum of outer products would be
     m = (betas[:, :, None] * alphas[:, None, :]).sum(axis=0)
@@ -152,7 +152,7 @@ def hand_eye_calibrate(a_list, b_list, parallel_axis_tol: float = PARALLEL_AXIS_
     )
 
 
-def _check_axis_diversity(alphas, tol: float = PARALLEL_AXIS_TOL) -> None:
+def _check_axis_diversity(alphas) -> None:
     """Reject motion sets whose rotation axes all lie on one line."""
     norms = _row_norms(alphas)
     rotating = norms > 1e-12
@@ -160,5 +160,5 @@ def _check_axis_diversity(alphas, tol: float = PARALLEL_AXIS_TOL) -> None:
     if len(axes) < 2:
         raise DegenerateMotion("need at least 2 motions with nonzero rotation")
     angles = np.arccos(np.minimum(np.abs(axes[1:] @ axes[0]), 1.0))
-    if not np.any(angles > tol):
+    if not np.any(angles > PARALLEL_AXIS_TOL):
         raise DegenerateMotion("all rotation axes are parallel: X is not unique")

@@ -38,7 +38,7 @@ class TooFewPoses(Rigid3dError):
 
 
 class TooFewMotions(Rigid3dError):
-    """Hand-eye calibration needs at least 2 motion pairs."""
+    """Hand-eye calibration needs at least 3 motion pairs."""
 
 
 class DegenerateGeometry(Rigid3dError):

@@ -8,8 +8,6 @@ the NumPy-only footprint.
 
 from __future__ import annotations
 
-import inspect
-
 from .calibration import hand_eye_calibrate, pivot_calibrate, register_point_sets
 from .errors import Rigid3dError
 from .se3 import _build_transforms, _compose_stack, _stack_transforms, inverse
@@ -21,27 +19,22 @@ class NotFittedError(Rigid3dError):
 
 
 class BaseEstimator:
-    """Minimal get_params/set_params, compatible with sklearn conventions."""
+    """get_params/set_params compatible with sklearn conventions.
 
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
+    The solvers' degeneracy thresholds are fixed constants in
+    :mod:`rigid3d.calibration`, so no estimator has a parameter.
+    """
 
     def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {}
 
     def set_params(self, **params):
-        valid = self._param_names()
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(f"invalid parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
+        for name in params:
+            raise ValueError(f"invalid parameter {name!r} for {type(self).__name__}")
         return self
 
     def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
+        return f"{type(self).__name__}()"
 
     def _fitted(self, attr):
         if not hasattr(self, attr):
@@ -57,11 +50,8 @@ class RigidRegistration(BaseEstimator):
         per_point_residuals_  residual norm for each correspondence
     """
 
-    def __init__(self, singular_ratio=1e-9):
-        self.singular_ratio = singular_ratio
-
     def fit(self, X, y):
-        result = register_point_sets(X, y, singular_ratio=self.singular_ratio)
+        result = register_point_sets(X, y)
         self.transform_ = result.transform
         self.rms_error_ = result.rms_error
         self.per_point_residuals_ = result.per_point_residuals
@@ -86,11 +76,8 @@ class PivotCalibrator(BaseEstimator):
     After ``fit(poses)``: ``tip_offset_``, ``pivot_point_``, ``rms_error_``.
     """
 
-    def __init__(self, max_condition=1e8):
-        self.max_condition = max_condition
-
     def fit(self, X, y=None):
-        result = pivot_calibrate(X, max_condition=self.max_condition)
+        result = pivot_calibrate(X)
         self.tip_offset_ = result.tip_offset
         self.pivot_point_ = result.pivot_point
         self.rms_error_ = result.rms_error
@@ -110,11 +97,8 @@ class HandEyeCalibrator(BaseEstimator):
     ``translation_rms_``.
     """
 
-    def __init__(self, parallel_axis_tol=1e-6):
-        self.parallel_axis_tol = parallel_axis_tol
-
     def fit(self, X, y):
-        result = hand_eye_calibrate(X, y, parallel_axis_tol=self.parallel_axis_tol)
+        result = hand_eye_calibrate(X, y)
         self.transform_ = result.x
         self.rotation_rms_ = result.rotation_rms
         self.translation_rms_ = result.translation_rms

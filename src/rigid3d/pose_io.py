@@ -124,23 +124,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _round17(obj):
-    """Round-trip floats through 17-significant-digit text before dumping."""
-    if isinstance(obj, float):
-        return float(_fmt(obj))
-    if isinstance(obj, dict):
-        return {k: _round17(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round17(v) for v in obj]
-    return obj
-
-
 def report_json(tool_version: str, command: str, result: dict, residuals: dict | None) -> str:
-    """Deterministic report document: fixed field order, lossless floats."""
-    doc = {
-        "tool_version": tool_version,
-        "command": command,
-        "result": _round17(result),
-        "residuals": _round17(residuals) if residuals is not None else None,
-    }
+    """Deterministic report document: fixed field order, lossless floats.
+
+    json.dumps writes each float as its repr, the shortest text that reads
+    back to the same double, so no rounding step is needed.
+    """
+    doc = {"tool_version": tool_version, "command": command, "result": result, "residuals": residuals}
     return json.dumps(doc, indent=2) + "\n"

@@ -2,7 +2,7 @@
 
 Twists are stored linear-first, (v, w); wrenches are (f, tau). The
 adjoint of T = (R, t) acting on that ordering is the 6x6 block matrix
-[[R, 0], [hat(t) R, R]].
+[[R, hat(t) R], [0, R]].
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def se3_log(t: Transform) -> Twist:
 
 
 def adjoint(t: Transform) -> np.ndarray:
-    """6x6 adjoint [[R, 0], [hat(t) R, R]] for (v, w)-ordered twists."""
+    """6x6 adjoint [[R, hat(t) R], [0, R]] for (v, w)-ordered twists."""
     r = t.rotation.m
     out = np.zeros((6, 6))
     out[:3, :3] = r

@@ -138,6 +138,21 @@ class TestPivot:
         with pytest.raises(TooFewPoses):
             r.pivot_calibrate([random_transform(rng), random_transform(rng)])
 
+    @pytest.mark.parametrize("tilt, accepted", [(1e-2, True), (1e-5, False)])
+    def test_tilt_threshold(self, rng, tilt, accepted):
+        tip, pivot, poses = synthetic_pivot(rng, n=10, max_angle=tilt)
+        if accepted:
+            assert np.linalg.norm(r.pivot_calibrate(poses).tip_offset - tip) < 1e-6
+        else:
+            with pytest.raises(DegenerateMotion, match="tip and pivot are not separable"):
+                r.pivot_calibrate(poses)
+
+    def test_identity_rotations_rejected_without_division(self, rng):
+        # A = [I, -I] stacked has three singular values of exactly 0
+        poses = [r.Transform(r.RotationMatrix.identity(), t) for t in rng.standard_normal((3, 3))]
+        with pytest.raises(DegenerateMotion, match="tip and pivot are not separable"):
+            r.pivot_calibrate(poses)
+
     def test_noise_bound(self, rng):
         # translation noise sigma 0.1 (mm scale), 50 poses: tip error stays below 0.1
         hits = 0
@@ -183,6 +198,21 @@ class TestHandEye:
     def test_too_few_motions(self, rng):
         with pytest.raises(TooFewMotions):
             r.hand_eye_calibrate([random_transform(rng)], [random_transform(rng)])
+
+    def test_two_motions_are_too_few(self, rng):
+        # M = sum beta_i alpha_i^T has rank <= 2 for two pairs, so X is never determined
+        _, a_list, b_list = synthetic_handeye(rng, n=2)
+        with pytest.raises(TooFewMotions, match="at least 3 motion pairs"):
+            r.hand_eye_calibrate(a_list, b_list)
+
+    def test_coplanar_axes_rejected(self, rng):
+        # axes are pairwise non-parallel, but all lie in one plane: M^T M is singular
+        x0 = random_transform(rng)
+        axes = [[math.cos(t), math.sin(t), 0.0] for t in (0.0, 1.0, 2.0)]
+        b_list = [r.Transform(r.so3_exp(w), rng.standard_normal(3)) for w in axes]
+        a_list = [r.compose(r.compose(x0, b), r.inverse(x0)) for b in b_list]
+        with pytest.raises(DegenerateMotion, match="not diverse enough"):
+            r.hand_eye_calibrate(a_list, b_list)
 
     def test_noise_bound(self, rng):
         # 0.1 deg rotation / 0.5 mm translation noise, 20 pairs

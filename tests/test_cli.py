@@ -14,6 +14,10 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+SINGLE_POSE_FILE = str(FIXTURES / "pose_single.csv")
+SINGLE_POSE = (FIXTURES / "pose_single.csv").read_text().splitlines()[1]  # the same pose, as inline text
+
+
 GOLDEN_CASES = {
     "convert_matrix4": ["convert", "--input", str(FIXTURES / "pose_single.csv"), "--to", "matrix4"],
     "convert_quat": ["convert", "--input", str(FIXTURES / "pose_single.csv"), "--to", "quat"],
@@ -122,3 +126,38 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "degenerate" in err.lower()
+
+    @pytest.mark.parametrize("sources", [[], ["--pose", SINGLE_POSE, "--input", SINGLE_POSE_FILE]])
+    def test_not_exactly_one_pose_source_is_usage(self, sources):
+        code, out, err = run(["log", *sources])
+        assert code == 1
+        assert out == ""
+        assert "exactly one of --pose or --input" in err
+
+    def test_two_motions_handeye_is_data(self, tmp_path):
+        # 3 poses per stream give 2 motion pairs, one fewer than hand-eye needs
+        streams = []
+        for name in ("poses_handeye_a.csv", "poses_handeye_b.csv"):
+            path = tmp_path / name
+            path.write_text("".join((FIXTURES / name).read_text().splitlines(keepends=True)[:4]))
+            streams.append(str(path))
+        code, out, err = run(["handeye", *streams])
+        assert code == 2
+        assert out == ""
+        assert "at least 3 motion pairs" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["convert", "--to", to] for to in ("matrix4", "quat", "euler-zyx", "rotvec")] + [["log"]]
+)
+def test_inline_pose_matches_input_file(argv):
+    inline = run([*argv, "--pose", SINGLE_POSE])
+    from_file = run([*argv, "--input", SINGLE_POSE_FILE])
+    assert inline[0] == 0
+    assert inline == from_file
+
+
+def test_inline_compose_full_precision():
+    code, out, _ = run(["compose", SINGLE_POSE, SINGLE_POSE])
+    assert code == 0
+    assert out == (GOLDEN / "compose.json").read_text()

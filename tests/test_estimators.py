@@ -76,6 +76,13 @@ class TestParamsProtocol:
     def test_repr(self):
         assert repr(PivotCalibrator()).startswith("PivotCalibrator(")
 
+    @pytest.mark.parametrize("cls", [RigidRegistration, PivotCalibrator, HandEyeCalibrator])
+    def test_thresholds_are_not_parameters(self, cls):
+        assert cls().get_params() == {}
+        assert repr(cls()) == f"{cls.__name__}()"
+        with pytest.raises(ValueError, match="invalid parameter"):
+            cls().set_params(max_condition=1e6)
+
     def test_sklearn_clone_compatible(self):
         # estimators must be reconstructable from their params alone
         for cls in (RigidRegistration, PivotCalibrator, HandEyeCalibrator):

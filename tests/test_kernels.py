@@ -103,6 +103,18 @@ def test_relative_motions_match_scalar_chain(seed, n):
     assert max_diff(got, want) <= 1e-12
 
 
+def test_relative_motions_reproject_like_scalar_chain(rng):
+    # each pose is valid (drift 8.7e-10), each T_i^-1 T_{i+1} product (drift 1.7e-9) is re-projected
+    scale = 1.0 + 2.5e-10
+    poses = [r.Transform(scale * r.random_rotation(rng).m, rng.standard_normal(3)) for _ in range(6)]
+    want = [r.compose(r.inverse(a), b) for a, b in zip(poses, poses[1:])]
+    got = r.relative_motions(poses)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.rotation.m, w.rotation.m)
+        assert np.array_equal(g.translation, w.translation)
+        assert np.linalg.norm(g.rotation.m.T @ g.rotation.m - np.eye(3)) < 1e-12
+
+
 @settings(max_examples=30, deadline=None)
 @given(SEEDS)
 def test_hand_eye_predict_matches_scalar_chain(seed):

@@ -5,8 +5,13 @@ import pytest
 
 import rigid3d as r
 from rigid3d.errors import DegenerateMatrix, InvalidHomogeneousRow, NotARotation
+from rigid3d.so3 import ORTHO_TOL
 
 from conftest import random_transform
+
+
+def drift(m):
+    return np.linalg.norm(m.T @ m - np.eye(3))
 
 
 def se3_exp_series(xi, terms=30):
@@ -56,6 +61,15 @@ class TestGroupOps:
     def test_inverse_pure_translation(self):
         t = r.Transform(r.RotationMatrix.identity(), [1, 2, 3])
         np.testing.assert_array_equal(r.inverse(t).translation, [-1, -2, -3])
+
+    def test_compose_reprojects_drifted_product(self, rng):
+        # each factor is valid (drift 8.7e-10), their product (drift 1.7e-9) is not
+        scale = 1.0 + 2.5e-10
+        a, b = (r.Transform(scale * r.random_rotation(rng).m, rng.standard_normal(3)) for _ in range(2))
+        assert drift(a.rotation.m @ b.rotation.m) > ORTHO_TOL
+        c = r.compose(a, b)
+        assert drift(c.rotation.m) < 1e-12
+        np.testing.assert_allclose(c.rotation.m, a.rotation.m @ b.rotation.m, atol=1e-8)
 
     def test_double_inverse(self, rng):
         t = random_transform(rng)

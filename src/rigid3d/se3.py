@@ -14,19 +14,17 @@ import numpy as np
 
 from .errors import InvalidHomogeneousRow, NotARotation
 from .so3 import (
+    SERIES_ANGLE,
     RotationMatrix,
     _check_rotation_stack,
+    _hat,
+    _rodrigues,
     _snap,
     _snap_stack,
-    hat3,
     orthonormalize,
-    so3_exp,
     so3_log,
 )
 from .validation import check_matrix, freeze
-
-_V_SMALL = 1e-8
-_VINV_SMALL = 1e-4  # closed form cancels catastrophically below this angle
 
 
 @dataclass(frozen=True)
@@ -98,23 +96,10 @@ def transform_direction(t: Transform, v) -> np.ndarray:
     return t.rotation.m @ check_matrix(v, (3,), "direction")
 
 
-def _v_matrix(w: np.ndarray) -> np.ndarray:
-    """Left Jacobian of SO(3): translation factor of the SE(3) exponential."""
-    theta = np.linalg.norm(w)
-    k = hat3(w)
-    if theta < _V_SMALL:
-        b = 0.5 - theta**2 / 24.0
-        c = 1.0 / 6.0 - theta**2 / 120.0
-    else:
-        b = (1.0 - math.cos(theta)) / theta**2
-        c = (theta - math.sin(theta)) / theta**3
-    return np.eye(3) + b * k + c * (k @ k)
-
-
 def _v_inverse(w: np.ndarray) -> np.ndarray:
     theta = np.linalg.norm(w)
-    k = hat3(w)
-    if theta < _VINV_SMALL:
+    k = _hat(w)
+    if theta < SERIES_ANGLE:
         c = 1.0 / 12.0 + theta**2 / 720.0 + theta**4 / 30240.0
     else:
         # 1/theta^2 - (1 + cos)/(2 theta sin), written via cot(theta/2)
@@ -124,11 +109,11 @@ def _v_inverse(w: np.ndarray) -> np.ndarray:
 
 
 def se3_exp(xi: Twist) -> Transform:
-    """Exponential map: rotation from Rodrigues, translation through V(w) v."""
+    """Exponential map: exp(hat(w)) and V(w) v from the one Rodrigues evaluation so3_exp also uses (so3._rodrigues)."""
     if not isinstance(xi, Twist):
         xi = Twist.from_array(xi)
-    r = so3_exp(xi.w)
-    return Transform(r, _v_matrix(np.asarray(xi.w)) @ xi.v)
+    rot, b, c, k, k2 = _rodrigues(xi.w)
+    return Transform(rot, (np.eye(3) + b * k + c * k2) @ xi.v)
 
 
 def se3_log(t: Transform) -> Twist:
@@ -143,7 +128,7 @@ def adjoint(t: Transform) -> np.ndarray:
     r = t.rotation.m
     out = np.zeros((6, 6))
     out[:3, :3] = r
-    out[:3, 3:] = hat3(t.translation) @ r
+    out[:3, 3:] = _hat(t.translation) @ r
     out[3:, 3:] = r
     return out
 
@@ -170,7 +155,7 @@ def to_matrix4(t: Transform) -> np.ndarray:
 
 
 def from_matrix4(m) -> Transform:
-    """Extract (R, t); small orthogonality drift (< 1e-4) is repaired."""
+    """Extract (R, t); a block with det > 0 and orthogonality drift < 1e-4 is repaired."""
     m = check_matrix(m, (4, 4), "homogeneous matrix")
     if np.linalg.norm(m[3] - np.array([0.0, 0.0, 0.0, 1.0])) > 1e-9:
         raise InvalidHomogeneousRow("last row must be (0, 0, 0, 1)")
@@ -178,7 +163,7 @@ def from_matrix4(m) -> Transform:
     try:
         rot = RotationMatrix(block)
     except NotARotation:
-        if not np.linalg.norm(block.T @ block - np.eye(3)) < 1e-4:
+        if not (np.linalg.norm(block.T @ block - np.eye(3)) < 1e-4 and np.linalg.det(block) > 0.0):
             raise NotARotation("rotation block deviates from SO(3) beyond the 1e-4 repair threshold") from None
         rot = orthonormalize(block)
     return Transform(rot, m[:3, 3])

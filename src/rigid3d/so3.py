@@ -27,8 +27,9 @@ from .errors import (
 from .validation import check_matrix, freeze
 
 ORTHO_TOL = 1e-9
-SMALL_ANGLE = 1e-8
-NEAR_PI = math.pi - 1e-4
+SMALL_ANGLE = 1e-8  # so3_log returns the antisymmetric part itself below this angle
+SERIES_ANGLE = 1e-4  # exp, V and V^-1 take Taylor series below this angle, where their closed forms cancel
+NEAR_PI = math.pi - 1e-2  # so3_log's mid-range formula loses eps/(pi - theta)^2; its near-pi branch runs above this
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,7 @@ class EulerAngles:
 
 def hat3(v) -> np.ndarray:
     """Cross-product matrix: hat3(v) @ u == cross(v, u)."""
-    x, y, z = check_matrix(v, (3,), "vector")
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return _hat(check_matrix(v, (3,), "vector"))
 
 
 def vee3(s) -> np.ndarray:
@@ -126,18 +126,8 @@ def vee3(s) -> np.ndarray:
 
 
 def so3_exp(r) -> RotationMatrix:
-    """Rodrigues formula; Taylor coefficients below the small-angle threshold."""
-    r = check_matrix(r, (3,), "rotation vector")
-    theta = np.linalg.norm(r)
-    k = hat3(r)
-    if theta < SMALL_ANGLE:
-        a = 1.0 - theta**2 / 6.0
-        b = 0.5 - theta**2 / 24.0
-    else:
-        a = math.sin(theta) / theta
-        b = (1.0 - math.cos(theta)) / theta**2
-    m = np.eye(3) + a * k + b * (k @ k)
-    return RotationMatrix(_snap(m))
+    """Rodrigues formula; Taylor coefficients below SERIES_ANGLE."""
+    return _rodrigues(check_matrix(r, (3,), "rotation vector"))[0]
 
 
 def so3_log(r_mat: RotationMatrix) -> np.ndarray:
@@ -250,8 +240,6 @@ def matrix_to_euler(
     Within 1e-7 of |pitch| == pi/2 the roll is set to 0 and yaw absorbs
     the remaining degree of freedom.
     """
-    if not isinstance(convention, EulerConvention):
-        raise UnsupportedConvention(f"unknown Euler convention: {convention!r}")
     m = _as_rotation(r_mat)
     sp = max(-1.0, min(1.0, -m[2, 0]))
     pitch = math.asin(sp)
@@ -300,6 +288,29 @@ def random_rotation(rng: np.random.Generator) -> RotationMatrix:
     if np.linalg.det(q) < 0:
         q[:, 2] = -q[:, 2]
     return RotationMatrix(_snap(q))
+
+
+def _hat(v: np.ndarray) -> np.ndarray:
+    """hat3 of an already validated 3-vector."""
+    x, y, z = v
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def _rodrigues(w: np.ndarray) -> tuple[RotationMatrix, float, float, np.ndarray, np.ndarray]:
+    """exp(hat(w)) = I + a K + b K^2 of a validated w, and the b, c, K, K^2 of V(w) = I + b K + c K^2.
+
+    a, b, c = sin(t)/t, (1 - cos(t))/t^2, (t - sin(t))/t^3, from their Taylor series
+    below SERIES_ANGLE, where 1 - cos(t) cancels and V v would lose eps/t.
+    """
+    theta = np.linalg.norm(w)
+    k = _hat(w)
+    if theta < SERIES_ANGLE:
+        a, b, c = 1.0 - theta**2 / 6.0, 0.5 - theta**2 / 24.0, 1.0 / 6.0 - theta**2 / 120.0
+    else:
+        sin = math.sin(theta)
+        a, b, c = sin / theta, (1.0 - math.cos(theta)) / theta**2, (theta - sin) / theta**3
+    k2 = k @ k
+    return RotationMatrix(_snap(np.eye(3) + a * k + b * k2)), b, c, k, k2
 
 
 def _as_rotation(r_mat) -> np.ndarray:

@@ -214,6 +214,28 @@ class TestHandEye:
         with pytest.raises(DegenerateMotion, match="not diverse enough"):
             r.hand_eye_calibrate(a_list, b_list)
 
+    def test_parallel_axes_rejected_where_mtm_test_passes(self):
+        # Inconsistent pairs: every A-axis lies 0.99e-6 rad from the first (just inside
+        # PARALLEL_AXIS_TOL), the B-axes are random with the same angles. For this seed
+        # the M^T M test alone accepts the set and returns an arbitrary X, so only the
+        # axis-diversity test rejects it.
+        rng = np.random.default_rng(54)
+        axis0 = rng.standard_normal(3)
+        axis0 /= np.linalg.norm(axis0)
+        a_list, b_list = [], []
+        for i, angle in enumerate(rng.uniform(0.1, math.pi - 0.1, 50)):
+            perp = np.cross(axis0, rng.standard_normal(3))
+            perp /= np.linalg.norm(perp)
+            axis = axis0 if i == 0 else math.cos(0.99e-6) * axis0 + math.sin(0.99e-6) * perp
+            a_list.append(r.Transform(r.so3_exp(axis / np.linalg.norm(axis) * angle), rng.uniform(-1, 1, 3)))
+            b_axis = rng.standard_normal(3)
+            b_list.append(r.Transform(r.so3_exp(b_axis / np.linalg.norm(b_axis) * angle), rng.uniform(-1, 1, 3)))
+        m = sum(np.outer(r.so3_log(b.rotation), r.so3_log(a.rotation)) for a, b in zip(a_list, b_list))
+        evals = np.linalg.eigvalsh(m.T @ m)
+        assert evals[0] >= 1e-12 * max(evals[-1], 1.0)  # the M^T M test would pass
+        with pytest.raises(DegenerateMotion, match="parallel"):
+            r.hand_eye_calibrate(a_list, b_list)
+
     def test_noise_bound(self, rng):
         # 0.1 deg rotation / 0.5 mm translation noise, 20 pairs
         hits = 0

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -41,6 +45,18 @@ def test_golden(name):
     code, out, _ = run(GOLDEN_CASES[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", ["exp", "log"])
+def test_module_entry_point(name):
+    # the process path: python -m rigid3d.cli runs main(), which exits with run_cli's code
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rigid3d.cli", *GOLDEN_CASES[name]], capture_output=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))

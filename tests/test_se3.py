@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rigid3d as r
-from rigid3d.errors import DegenerateMatrix, InvalidHomogeneousRow, NotARotation
-from rigid3d.so3 import ORTHO_TOL
+from rigid3d.errors import InvalidHomogeneousRow, NotARotation
+from rigid3d.so3 import ORTHO_TOL, SERIES_ANGLE, SMALL_ANGLE
 
 from conftest import random_transform
 
@@ -142,6 +144,31 @@ class TestExpLog:
             np.testing.assert_allclose(r.to_matrix4(r.se3_exp(xi)), r.to_matrix4(t), atol=1e-9)
 
 
+# Angles on both sides of each branch threshold of the exponential, plus mid-range and near pi.
+EXP_ANGLES = st.one_of(
+    st.sampled_from([0.0, *[np.nextafter(t, d) for t in (SMALL_ANGLE, SERIES_ANGLE) for d in (0.0, np.inf)]]),
+    st.floats(1e-10, 1e-7),
+    st.floats(1e-5, 1e-3),
+    st.floats(1e-3, math.pi - 1e-4),
+    st.floats(math.pi - 1e-4, math.pi),
+)
+AXES = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda a: np.linalg.norm(a) > 0.1)
+LINEAR = st.tuples(*[st.floats(-10.0, 10.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(AXES, EXP_ANGLES, LINEAR)
+def test_exp_shares_one_rodrigues_evaluation(axis, angle, v):
+    w = np.asarray(axis) / np.linalg.norm(axis) * angle
+    xi = r.Twist(v, w)
+    t = r.se3_exp(xi)
+    assert t.rotation.m.tobytes() == r.so3_exp(w).m.tobytes()
+    want = se3_exp_series(xi)[:3, 3]  # V(w) v = sum_n K^n v / (n + 1)!
+    assert np.linalg.norm(t.translation - want) <= 1e-12 * np.linalg.norm(want)
+    if angle < math.pi - 1e-4:
+        np.testing.assert_allclose(r.se3_log(t).as_array(), xi.as_array(), rtol=0, atol=1e-9)
+
+
 class TestAdjoint:
     def test_adjoint_identity(self):
         np.testing.assert_array_equal(r.adjoint(r.Transform.identity()), np.eye(6))
@@ -255,6 +282,6 @@ class TestHomogeneous:
 
     def test_rejects_reflection(self, rng):
         m = r.to_matrix4(random_transform(rng))
-        m[:3, 2] *= -1.0  # orthogonal block with det -1: no drift to repair
-        with pytest.raises(DegenerateMatrix, match="too far from SO"):
+        m[:3, 2] *= -1.0  # orthogonal block with det -1: no drift, but no rotation to repair it to
+        with pytest.raises(NotARotation, match="1e-4 repair threshold"):
             r.from_matrix4(m)

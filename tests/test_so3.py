@@ -86,6 +86,13 @@ class TestExpLog:
             rot = r.so3_exp(axis * (math.pi - delta))
             np.testing.assert_allclose(r.so3_exp(r.so3_log(rot)).m, rot.m, atol=1e-9)
 
+    def test_log_accurate_on_both_sides_of_near_pi(self, rng):
+        # the mid-range formula's error grows as eps/(pi - theta)^2: 2e-7 rad at pi - 3e-4
+        for delta in np.geomspace(1e-7, 0.3, 60):
+            axis = rng.standard_normal(3)
+            v = axis / np.linalg.norm(axis) * (math.pi - delta)
+            np.testing.assert_allclose(r.so3_log(r.so3_exp(v)), v, rtol=0, atol=1e-10)
+
     def test_log_angle_in_range(self, rng):
         for _ in range(200):
             rot = r.random_rotation(rng)

@@ -64,8 +64,6 @@ from .calibration import (
 )
 from .estimators import HandEyeCalibrator, NotFittedError, PivotCalibrator, RigidRegistration
 from .pose_io import (
-    PointRecord,
-    PoseRecord,
     parse_points_csv,
     parse_pose_csv,
     relative_motions,

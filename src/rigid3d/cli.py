@@ -19,12 +19,13 @@ from .errors import (
     DegenerateGeometry,
     DegenerateMatrix,
     DegenerateMotion,
+    NonUnitQuaternion,
     ParseError,
     Rigid3dError,
 )
-from .pose_io import QUAT_REJECT_TOL, PoseRecord, parse_points_csv, parse_pose_csv, relative_motions, report_json
-from .se3 import Twist, compose, se3_exp, se3_log, to_matrix4
-from .so3 import EulerConvention, matrix_to_euler, so3_log
+from .pose_io import _pose_fields, _pose_from_fields, parse_points_csv, parse_pose_csv, relative_motions, report_json
+from .se3 import Transform, Twist, compose, se3_exp, se3_log, to_matrix4
+from .so3 import EulerConvention, UnitQuaternion, matrix_to_euler, quat_to_matrix, so3_log
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,41 +87,35 @@ def _inline_floats(text: str, count: int, what: str):
     return values
 
 
-def _load_poses(path: str):
+def _read(path: str, parse):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_pose_csv(fh)
+            return parse(fh)
     except OSError as exc:
         raise ParseError(0, f"cannot read {path}: {exc.strerror}") from None
+
+
+def _load_poses(path: str) -> list[Transform]:
+    return _read(path, parse_pose_csv)
 
 
 def _load_points(path: str) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            records = parse_points_csv(fh)
-    except OSError as exc:
-        raise ParseError(0, f"cannot read {path}: {exc.strerror}") from None
-    return np.array([[r.x, r.y, r.z] for r in records]).reshape(-1, 3)
+    return _read(path, parse_points_csv)
 
 
-def _single_pose(args):
+def _single_pose(args) -> Transform:
     if (args.pose is None) == (args.input is None):
         raise UsageError("give exactly one of --pose or --input")
     if args.pose is not None:
         vals = _inline_floats(args.pose, 7, "--pose")
-        norm = math.sqrt(sum(v * v for v in vals[3:]))
-        if abs(norm - 1.0) > QUAT_REJECT_TOL:
-            raise UsageError("--pose quaternion is not unit norm")
-        return PoseRecord(*vals[:3], *[v / norm for v in vals[3:]]).to_transform()
-    records = _load_poses(args.input)
-    if not records:
+        try:
+            return _pose_from_fields(vals)
+        except NonUnitQuaternion:
+            raise UsageError("--pose quaternion is not unit norm") from None
+    poses = _load_poses(args.input)
+    if not poses:
         raise ParseError(0, f"{args.input} contains no poses")
-    return records[0].to_transform()
-
-
-def _pose_dict(t) -> dict:
-    r = PoseRecord.from_transform(t)
-    return {"tx": r.tx, "ty": r.ty, "tz": r.tz, "qw": r.qw, "qx": r.qx, "qy": r.qy, "qz": r.qz}
+    return poses[0]
 
 
 def _residuals(rms: float, errs: np.ndarray) -> dict:
@@ -132,7 +127,7 @@ def _cmd_convert(args):
     if args.to == "matrix4":
         result = {"matrix4": to_matrix4(t).tolist()}
     elif args.to == "quat":
-        result = {"pose": _pose_dict(t)}
+        result = {"pose": _pose_fields(t)}
     elif args.to == "euler-zyx":
         euler, locked = matrix_to_euler(t.rotation, EulerConvention.ZYX_INTRINSIC)
         roll, pitch, yaw = euler.angles
@@ -150,21 +145,22 @@ def _cmd_compose(args):
     acc = None
     for item in args.inputs:
         if "," in item:
+            # straight to UnitQuaternion: its 1e-6 gate, not the pose-file tolerance
             vals = _inline_floats(item, 7, "inline pose")
-            poses = [PoseRecord(*vals).to_transform()]
+            poses = [Transform(quat_to_matrix(UnitQuaternion(*vals[3:])), vals[:3])]
         else:
-            poses = [r.to_transform() for r in _load_poses(item)]
+            poses = _load_poses(item)
             if not poses:
                 raise ParseError(0, f"{item} contains no poses")
         for pose in poses:
             acc = pose if acc is None else compose(acc, pose)
-    return {"pose": _pose_dict(acc)}, None, f"composed {len(args.inputs)} input(s)"
+    return {"pose": _pose_fields(acc)}, None, f"composed {len(args.inputs)} input(s)"
 
 
 def _cmd_exp(args):
     xi = Twist.from_array(_inline_floats(args.twist, 6, "--twist"))
     t = se3_exp(xi)
-    return {"pose": _pose_dict(t)}, None, "exponential map applied"
+    return {"pose": _pose_fields(t)}, None, "exponential map applied"
 
 
 def _cmd_log(args):
@@ -178,14 +174,14 @@ def _cmd_register(args):
     q = _load_points(args.target)
     res = register_point_sets(p, q)
     return (
-        {"pose": _pose_dict(res.transform)},
+        {"pose": _pose_fields(res.transform)},
         _residuals(res.rms_error, res.per_point_residuals),
         f"registered {p.shape[0]} point pairs, rms {res.rms_error:.6g}",
     )
 
 
 def _cmd_pivot(args):
-    poses = [r.to_transform() for r in _load_poses(args.poses)]
+    poses = _load_poses(args.poses)
     res = pivot_calibrate(poses)
     result = {"tip_offset": res.tip_offset.tolist(), "pivot_point": res.pivot_point.tolist()}
     return (
@@ -196,10 +192,10 @@ def _cmd_pivot(args):
 
 
 def _cmd_handeye(args):
-    a_motions = relative_motions([r.to_transform() for r in _load_poses(args.stream_a)])
-    b_motions = relative_motions([r.to_transform() for r in _load_poses(args.stream_b)])
+    a_motions = relative_motions(_load_poses(args.stream_a))
+    b_motions = relative_motions(_load_poses(args.stream_b))
     res = hand_eye_calibrate(a_motions, b_motions)
-    result = {"pose": _pose_dict(res.x), "rotation_rms_rad": res.rotation_rms}
+    result = {"pose": _pose_fields(res.x), "rotation_rms_rad": res.rotation_rms}
     return (
         result,
         _residuals(res.translation_rms, res.per_motion_translation_residuals),

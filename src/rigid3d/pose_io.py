@@ -1,51 +1,29 @@
-"""CSV parsing/serialization for pose and point datasets, plus reports.
+"""The pose and point text formats, read and written; relative motions and reports.
 
 Pose files: ``tx,ty,tz,qw,qx,qy,qz`` (scalar-first quaternion), one pose
-per line, '#' comments, optional exact header line. Point files carry
-``x,y,z`` with the same comment/header rules.
+per line, '#' comments, optional exact header line. A quaternion whose
+norm is off 1 by more than QUAT_REJECT_TOL is rejected, smaller drift is
+renormalized. Point files carry ``x,y,z`` with the same comment/header
+rules. parse_pose_csv gives a list of Transforms and parse_points_csv an
+(n, 3) array; the serializers take the same types back. This module also
+reads the CLI's ``--pose`` text, so both entry points share one gate.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NonUnitQuaternion, ParseError, TooFewPoses
 from .se3 import Transform, _build_transforms, _compose_stack, _inverse_stack, _stack_transforms
 from .so3 import UnitQuaternion, matrix_to_quat, quat_to_matrix
+from .validation import check_matrix
 
 POSE_HEADER = "tx,ty,tz,qw,qx,qy,qz"
 POINT_HEADER = "x,y,z"
 QUAT_REJECT_TOL = 1e-3
-
-
-@dataclass(frozen=True)
-class PoseRecord:
-    tx: float
-    ty: float
-    tz: float
-    qw: float
-    qx: float
-    qy: float
-    qz: float
-
-    def to_transform(self) -> Transform:
-        q = UnitQuaternion(self.qw, self.qx, self.qy, self.qz)
-        return Transform(quat_to_matrix(q), (self.tx, self.ty, self.tz))
-
-    @staticmethod
-    def from_transform(t: Transform) -> "PoseRecord":
-        q = matrix_to_quat(t.rotation)
-        tx, ty, tz = t.translation
-        return PoseRecord(tx, ty, tz, q.w, q.x, q.y, q.z)
-
-
-@dataclass(frozen=True)
-class PointRecord:
-    x: float
-    y: float
-    z: float
 
 
 def _data_lines(stream, header: str):
@@ -75,38 +53,48 @@ def _parse_floats(lineno: int, line: str, count: int):
     return values
 
 
-def parse_pose_csv(stream) -> list[PoseRecord]:
+def _pose_from_fields(values, lineno: int = 0) -> Transform:
+    """Transform of the seven pose fields, with the quaternion renormalized.
+
+    A norm off 1 by more than QUAT_REJECT_TOL raises NonUnitQuaternion at lineno.
+    """
+    tx, ty, tz, qw, qx, qy, qz = values
+    norm = math.sqrt(qw**2 + qx**2 + qy**2 + qz**2)
+    if abs(norm - 1.0) > QUAT_REJECT_TOL:
+        raise NonUnitQuaternion(lineno, norm)
+    return Transform(quat_to_matrix(UnitQuaternion(qw / norm, qx / norm, qy / norm, qz / norm)), (tx, ty, tz))
+
+
+def _pose_fields(t: Transform) -> dict:
+    """The seven pose fields of a Transform, keyed and ordered as POSE_HEADER."""
+    q = matrix_to_quat(t.rotation)
+    tx, ty, tz = t.translation
+    return dict(zip(POSE_HEADER.split(","), (tx, ty, tz, q.w, q.x, q.y, q.z)))
+
+
+def parse_pose_csv(stream) -> list[Transform]:
     """Parse poses; quaternions are renormalized, gross errors rejected."""
-    records = []
-    for lineno, line in _data_lines(stream, POSE_HEADER):
-        tx, ty, tz, qw, qx, qy, qz = _parse_floats(lineno, line, 7)
-        norm = math.sqrt(qw**2 + qx**2 + qy**2 + qz**2)
-        if abs(norm - 1.0) > QUAT_REJECT_TOL:
-            raise NonUnitQuaternion(lineno, norm)
-        records.append(PoseRecord(tx, ty, tz, qw / norm, qx / norm, qy / norm, qz / norm))
-    return records
+    lines = _data_lines(stream, POSE_HEADER)
+    return [_pose_from_fields(_parse_floats(lineno, line, 7), lineno) for lineno, line in lines]
 
 
-def parse_points_csv(stream) -> list[PointRecord]:
-    records = []
-    for lineno, line in _data_lines(stream, POINT_HEADER):
-        x, y, z = _parse_floats(lineno, line, 3)
-        records.append(PointRecord(x, y, z))
-    return records
+def parse_points_csv(stream) -> np.ndarray:
+    """Parse points into an (n, 3) array; an empty file gives shape (0, 3)."""
+    rows = [_parse_floats(lineno, line, 3) for lineno, line in _data_lines(stream, POINT_HEADER)]
+    return np.array(rows, dtype=float).reshape(-1, 3)
 
 
-def serialize_pose_csv(records) -> str:
-    lines = [POSE_HEADER]
-    for r in records:
-        lines.append(",".join(_fmt(v) for v in (r.tx, r.ty, r.tz, r.qw, r.qx, r.qy, r.qz)))
-    return "\n".join(lines) + "\n"
+def serialize_pose_csv(poses) -> str:
+    return _csv(POSE_HEADER, (_pose_fields(t).values() for t in poses))
 
 
-def serialize_points_csv(records) -> str:
-    lines = [POINT_HEADER]
-    for r in records:
-        lines.append(",".join(_fmt(v) for v in (r.x, r.y, r.z)))
-    return "\n".join(lines) + "\n"
+def serialize_points_csv(points) -> str:
+    return _csv(POINT_HEADER, check_matrix(points, (None, 3), "points"))
+
+
+def _csv(header: str, rows) -> str:
+    """Header plus one line per row, at 17 significant digits: lossless for IEEE doubles, deterministic."""
+    return "\n".join([header, *(",".join(format(float(v), ".17g") for v in row) for row in rows)]) + "\n"
 
 
 def relative_motions(poses) -> list[Transform]:
@@ -117,11 +105,6 @@ def relative_motions(poses) -> list[Transform]:
     rs, ts = _stack_transforms(poses)
     inv_r, inv_t = _inverse_stack(rs[:-1], ts[:-1])
     return _build_transforms(*_compose_stack(inv_r, inv_t, rs[1:], ts[1:]))
-
-
-def _fmt(x: float) -> str:
-    """17 significant digits: lossless for IEEE doubles, deterministic."""
-    return format(float(x), ".17g")
 
 
 def report_json(tool_version: str, command: str, result: dict, residuals: dict | None) -> str:

@@ -22,6 +22,7 @@ from .errors import (
     NotARotation,
     NotSkewSymmetric,
     NotUnitQuaternion,
+    Rigid3dError,
     UnsupportedConvention,
 )
 from .validation import check_matrix, freeze
@@ -30,6 +31,8 @@ ORTHO_TOL = 1e-9
 SMALL_ANGLE = 1e-8  # so3_log returns the antisymmetric part itself below this angle
 SERIES_ANGLE = 1e-4  # exp, V and V^-1 take Taylor series below this angle, where their closed forms cancel
 NEAR_PI = math.pi - 1e-2  # so3_log's mid-range formula loses eps/(pi - theta)^2; its near-pi branch runs above this
+NEAR_LOCK = math.pi / 2 - 1e-2  # asin loses eps/(pi/2 - |pitch|); matrix_to_euler takes pitch from atan2 above this
+EXP_MAX_COMPONENT = 1e100  # exp rejects larger |w_i|: the norm, and theta**3 below, would overflow past ~1e102
 
 
 @dataclass(frozen=True)
@@ -238,11 +241,15 @@ def matrix_to_euler(
     """Extract Euler angles; second return value flags gimbal lock.
 
     Within 1e-7 of |pitch| == pi/2 the roll is set to 0 and yaw absorbs
-    the remaining degree of freedom.
+    the remaining degree of freedom. Above NEAR_LOCK the pitch comes from
+    atan2(-m20, hypot(m00, m10)), which stays exact where asin loses
+    digits.
     """
     m = _as_rotation(r_mat)
     sp = max(-1.0, min(1.0, -m[2, 0]))
     pitch = math.asin(sp)
+    if abs(pitch) > NEAR_LOCK:
+        pitch = math.atan2(-m[2, 0], math.hypot(m[0, 0], m[1, 0]))
     if (math.pi / 2.0) - abs(pitch) < 1e-7:
         roll = 0.0
         yaw = math.atan2(-m[0, 1], m[1, 1])
@@ -301,7 +308,10 @@ def _rodrigues(w: np.ndarray) -> tuple[RotationMatrix, float, float, np.ndarray,
 
     a, b, c = sin(t)/t, (1 - cos(t))/t^2, (t - sin(t))/t^3, from their Taylor series
     below SERIES_ANGLE, where 1 - cos(t) cancels and V v would lose eps/t.
+    A component beyond EXP_MAX_COMPONENT raises Rigid3dError.
     """
+    if max(map(abs, w.tolist())) > EXP_MAX_COMPONENT:
+        raise Rigid3dError(f"rotation vector component beyond {EXP_MAX_COMPONENT:g} in magnitude")
     theta = np.linalg.norm(w)
     k = _hat(w)
     if theta < SERIES_ANGLE:

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -163,14 +164,89 @@ class TestExitCodes:
         assert "at least 3 motion pairs" in err
 
 
+POSE_HEADER_ONLY = "tx,ty,tz,qw,qx,qy,qz\n"
+
+# argv, the text of the file that {path} names (None: no file), exit code, the one stderr line
+INPUT_ERRORS = {
+    "pose_field_count": (["pivot", "{path}"], "0,0,0,1,0,0\n", 2, "error: line 1: expected 7 fields, got 6"),
+    "pose_non_numeric": (
+        ["pivot", "{path}"], "0,0,0,1,0,0,0\n0,0,abc,1,0,0,0\n", 2, "error: line 2: non-numeric token 'abc'"
+    ),
+    "pose_quat_norm_2": (
+        ["pivot", "{path}"], "0,0,0,2,0,0,0\n", 2,
+        "error: line 1: quaternion norm 2 deviates from 1 by more than 1e-3",
+    ),
+    "point_nan": (["register", "{path}", "{path}"], "1,2,nan\n", 2, "error: line 1: non-finite value 'nan'"),
+    "pose_inf": (["pivot", "{path}"], "0,0,inf,1,0,0,0\n", 2, "error: line 1: non-finite value 'inf'"),
+    "header_only_log": (["log", "--input", "{path}"], POSE_HEADER_ONLY, 2, "error: line 0: {path} contains no poses"),
+    "header_only_compose": (["compose", "{path}"], POSE_HEADER_ONLY, 2, "error: line 0: {path} contains no poses"),
+    "header_only_pivot": (
+        ["pivot", "{path}"], POSE_HEADER_ONLY, 2, "error: pivot calibration needs at least 3 poses"
+    ),
+    "header_only_handeye": (
+        ["handeye", "{path}", "{path}"], POSE_HEADER_ONLY, 2, "error: need at least 2 poses to form relative motions"
+    ),
+    "missing_file": (
+        ["pivot", "{path}"], None, 2, "error: line 0: cannot read {path}: No such file or directory"
+    ),
+    "pose_flag_quat_norm_2": (
+        ["log", "--pose", "0,0,0,2,0,0,0"], None, 1, "usage error: --pose quaternion is not unit norm"
+    ),
+    "pose_flag_field_count": (
+        ["log", "--pose", "0,0,0,1,0,0"], None, 1, "usage error: --pose needs 7 comma-separated numbers, got 6"
+    ),
+    "pose_flag_non_numeric": (
+        ["log", "--pose", "0,0,0,1,0,0,x"], None, 1,
+        "usage error: bad --pose: could not convert string to float: 'x'",
+    ),
+    "inline_compose_drift": (
+        ["compose", "0,0,0,1.0001,0,0,0"], None, 2,
+        "error: quaternion norm 1.0001 deviates from 1 by more than 1e-6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_ERRORS))
+def test_input_error_surface(name, tmp_path):
+    argv, text, exit_code, message = INPUT_ERRORS[name]
+    path = tmp_path / "input.csv"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run([a.format(path=path) for a in argv])
+    assert code == exit_code
+    assert out == ""
+    assert err == message.format(path=path) + "\n"
+
+
+# A 4-decimal pose: its quaternion norm is off by 1.6e-5, which pose files and --pose
+# renormalize and UnitQuaternion alone would not accept. sum(v * v) and
+# qw**2 + qx**2 + qy**2 + qz**2 round its norm differently.
+DRIFTED_POSE = "1,2,3,0.8329,-0.2035,0.5061,-0.0936"
+
+
 @pytest.mark.parametrize(
     "argv", [["convert", "--to", to] for to in ("matrix4", "quat", "euler-zyx", "rotvec")] + [["log"]]
 )
-def test_inline_pose_matches_input_file(argv):
-    inline = run([*argv, "--pose", SINGLE_POSE])
-    from_file = run([*argv, "--input", SINGLE_POSE_FILE])
-    assert inline[0] == 0
-    assert inline == from_file
+def test_inline_pose_matches_input_file(argv, tmp_path):
+    qw, qx, qy, qz = (float(v) for v in DRIFTED_POSE.split(",")[3:])
+    norm = math.sqrt(qw**2 + qx**2 + qy**2 + qz**2)
+    assert 1e-6 < abs(norm - 1.0) < 1e-3
+    assert norm != math.sqrt(sum(v * v for v in (qw, qx, qy, qz)))
+    drifted_file = tmp_path / "drifted.csv"
+    drifted_file.write_text(DRIFTED_POSE + "\n")
+    for pose, pose_file in ((SINGLE_POSE, SINGLE_POSE_FILE), (DRIFTED_POSE, str(drifted_file))):
+        inline = run([*argv, "--pose", pose])
+        from_file = run([*argv, "--input", pose_file])
+        assert inline[0] == 0
+        assert inline == from_file
+
+
+@pytest.mark.parametrize("size", ["1e103", "1e150", "1e200", "1e308"])
+def test_exp_beyond_bound_is_data(size):
+    code, out, err = run(["exp", "--twist", f"0,0,0,{size},0,0"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: rotation vector component beyond 1e+100 in magnitude\n"
 
 
 def test_inline_compose_full_precision():

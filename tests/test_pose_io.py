@@ -1,14 +1,11 @@
 import io
-import math
 
 import numpy as np
 import pytest
 
 import rigid3d as r
-from rigid3d.errors import NonUnitQuaternion, ParseError, TooFewPoses
+from rigid3d.errors import NonUnitQuaternion, ParseError, Rigid3dError, TooFewPoses
 from rigid3d.pose_io import (
-    PointRecord,
-    PoseRecord,
     parse_points_csv,
     parse_pose_csv,
     serialize_points_csv,
@@ -20,13 +17,14 @@ from conftest import random_transform
 
 class TestParsePoses:
     def test_identity_pose(self):
-        records = parse_pose_csv(io.StringIO("0,0,0,1,0,0,0\n"))
-        assert records == [PoseRecord(0, 0, 0, 1, 0, 0, 0)]
+        poses = parse_pose_csv(io.StringIO("0,0,0,1,0,0,0\n"))
+        assert len(poses) == 1
+        assert np.array_equal(r.to_matrix4(poses[0]), np.eye(4))
 
     def test_header_and_order(self):
         text = "tx,ty,tz,qw,qx,qy,qz\n1,0,0,1,0,0,0\n2,0,0,1,0,0,0\n"
-        records = parse_pose_csv(io.StringIO(text))
-        assert [rec.tx for rec in records] == [1.0, 2.0]
+        poses = parse_pose_csv(io.StringIO(text))
+        assert [t.translation[0] for t in poses] == [1.0, 2.0]
 
     def test_comments_skipped(self):
         text = "# a comment\n0,0,0,1,0,0,0\n\n# trailing\n"
@@ -48,18 +46,23 @@ class TestParsePoses:
         assert exc.value.line == 1
 
     def test_small_drift_renormalized(self):
-        records = parse_pose_csv(io.StringIO("0,0,0,1.0001,0,0,0\n"))
-        q = records[0]
-        assert abs(math.sqrt(q.qw**2 + q.qx**2 + q.qy**2 + q.qz**2) - 1.0) < 1e-12
+        poses = parse_pose_csv(io.StringIO("0,0,0,1.0001,0,0,0\n"))
+        # (1.0001, 0, 0, 0) divided by its norm is exactly (1, 0, 0, 0)
+        assert np.array_equal(poses[0].rotation.m, np.eye(3))
 
 
 class TestParsePoints:
     def test_origin(self):
-        assert parse_points_csv(io.StringIO("0,0,0\n")) == [PointRecord(0, 0, 0)]
+        points = parse_points_csv(io.StringIO("0,0,0\n"))
+        assert points.dtype == np.float64
+        assert np.array_equal(points, np.zeros((1, 3)))
 
     def test_two_points_in_order(self):
-        records = parse_points_csv(io.StringIO("1,2,3\n4,5,6\n"))
-        assert records == [PointRecord(1, 2, 3), PointRecord(4, 5, 6)]
+        points = parse_points_csv(io.StringIO("1,2,3\n4,5,6\n"))
+        assert np.array_equal(points, [[1, 2, 3], [4, 5, 6]])
+
+    def test_header_only_is_empty(self):
+        assert parse_points_csv(io.StringIO("x,y,z\n")).shape == (0, 3)
 
     def test_nan_rejected(self):
         with pytest.raises(ParseError):
@@ -68,17 +71,23 @@ class TestParsePoints:
 
 class TestRoundTrip:
     def test_pose_serialize_parse(self, rng):
-        records = [PoseRecord.from_transform(random_transform(rng)) for _ in range(20)]
-        back = parse_pose_csv(io.StringIO(serialize_pose_csv(records)))
-        for a, b in zip(records, back):
-            for field in ("tx", "ty", "tz", "qw", "qx", "qy", "qz"):
-                va, vb = getattr(a, field), getattr(b, field)
-                assert abs(va - vb) <= 1e-15 * max(1.0, abs(va))
+        poses = [random_transform(rng) for _ in range(20)]
+        back = parse_pose_csv(io.StringIO(serialize_pose_csv(poses)))
+        assert len(back) == len(poses)
+        for a, b in zip(poses, back):
+            assert np.array_equal(a.translation, b.translation)
+            qa, qb = r.matrix_to_quat(a.rotation).components(), r.matrix_to_quat(b.rotation).components()
+            assert np.all(np.abs(qa - qb) <= 1e-15)
 
     def test_points_serialize_parse(self, rng):
-        records = [PointRecord(*rng.standard_normal(3)) for _ in range(20)]
-        back = parse_points_csv(io.StringIO(serialize_points_csv(records)))
-        assert back == records
+        points = rng.standard_normal((20, 3))
+        back = parse_points_csv(io.StringIO(serialize_points_csv(points)))
+        assert np.array_equal(back, points)
+
+    @pytest.mark.parametrize("points", [np.zeros((2, 2)), [[0.0, 0.0, np.nan]]])
+    def test_points_serialize_validates(self, points):
+        with pytest.raises(Rigid3dError):
+            serialize_points_csv(points)
 
 
 class TestRelativeMotions:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rigid3d as r
-from rigid3d.errors import InvalidHomogeneousRow, NotARotation
-from rigid3d.so3 import ORTHO_TOL, SERIES_ANGLE, SMALL_ANGLE
+from rigid3d.errors import InvalidHomogeneousRow, NotARotation, Rigid3dError
+from rigid3d.so3 import EXP_MAX_COMPONENT, ORTHO_TOL, SERIES_ANGLE, SMALL_ANGLE
 
 from conftest import random_transform
 
@@ -167,6 +167,28 @@ def test_exp_shares_one_rodrigues_evaluation(axis, angle, v):
     assert np.linalg.norm(t.translation - want) <= 1e-12 * np.linalg.norm(want)
     if angle < math.pi - 1e-4:
         np.testing.assert_allclose(r.se3_log(t).as_array(), xi.as_array(), rtol=0, atol=1e-9)
+
+
+EXP_ENTRY_POINTS = {
+    "so3_exp": r.so3_exp,
+    "se3_exp_twist": lambda w: r.se3_exp(r.Twist([1.0, 2.0, 3.0], w)),
+    "se3_exp_array": lambda w: r.se3_exp([1.0, 2.0, 3.0, *w]),
+}
+
+
+# beyond the bound the norm or theta**3 overflows, which the RuntimeWarning filter would turn into a failure
+@pytest.mark.parametrize("entry", sorted(EXP_ENTRY_POINTS))
+@pytest.mark.parametrize("size", [1e103, 1e150, 1e200, 1e308])
+def test_exp_rejects_components_beyond_bound(entry, size):
+    for w in ([0.0, 0.0, size], [size, -size, size], [-size, 0.5, 0.0]):
+        with pytest.raises(Rigid3dError, match="beyond 1e\\+100"):
+            EXP_ENTRY_POINTS[entry](w)
+
+
+@pytest.mark.parametrize("entry", sorted(EXP_ENTRY_POINTS))
+def test_exp_accepts_components_at_bound(entry):
+    for w in ([EXP_MAX_COMPONENT] * 3, [-EXP_MAX_COMPONENT, 0.0, 1.0]):
+        EXP_ENTRY_POINTS[entry](w)
 
 
 class TestAdjoint:

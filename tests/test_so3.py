@@ -251,6 +251,16 @@ class TestEuler:
         assert abs(e.angles[1] - math.pi / 2) < 1e-9
         np.testing.assert_allclose(r.euler_to_matrix(e).m, ry.m, atol=1e-9)
 
+    @pytest.mark.parametrize("distance", [1e-6, 1.5e-7, 1.1e-7])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_pitch_exact_near_lock(self, rng, distance, side):
+        # asin(-m20) loses eps/distance here, up to 5e-10 rad at 1.1e-7
+        pitch = side * (math.pi / 2 - distance)
+        for roll, yaw in rng.uniform(-math.pi, math.pi, (300, 2)):
+            e, locked = r.matrix_to_euler(r.euler_to_matrix(r.EulerAngles([roll, pitch, yaw])))
+            assert not locked
+            assert abs(e.angles[1] - pitch) <= 1e-15
+
     def test_roundtrip_away_from_lock(self, rng):
         count = 0
         while count < 1000:

@@ -19,7 +19,7 @@ from .errors import (
     TooFewPoses,
 )
 from .se3 import Transform, _stack_transforms
-from .so3 import _check_rotation_stack, _log_stack, _project, _row_norms, _snap_stack, orthonormalize
+from .so3 import _log_stack, _project, _repair_stack, _row_norms, orthonormalize
 from .validation import check_matrix
 
 SINGULAR_RATIO = 1e-9
@@ -138,10 +138,10 @@ def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
     d = (r_x @ tb[..., None])[..., 0] - ta
     t_x, *_ = np.linalg.lstsq(c.reshape(3 * n, 3), d.reshape(3 * n), rcond=None)
 
-    # geodesic distance between A_i R_X and R_X B_i, each product checked as a rotation
-    left = _check_rotation_stack(ra @ r_x)
-    right = _check_rotation_stack(r_x @ rb)
-    rel = _check_rotation_stack(_snap_stack(np.swapaxes(left, 1, 2) @ right))
+    # geodesic distance between A_i R_X and R_X B_i, each product a rotation as compose would give it
+    left = _repair_stack(ra @ r_x)
+    right = _repair_stack(r_x @ rb)
+    rel = _repair_stack(np.swapaxes(left, 1, 2) @ right)
     rot_errs = _row_norms(_log_stack(rel))
     trans_errs = _row_norms(c @ t_x - d)
     return HandEyeResult(

@@ -16,11 +16,10 @@ from .errors import InvalidHomogeneousRow, NotARotation
 from .so3 import (
     SERIES_ANGLE,
     RotationMatrix,
-    _check_rotation_stack,
     _hat,
+    _repair,
+    _repair_stack,
     _rodrigues,
-    _snap,
-    _snap_stack,
     orthonormalize,
     so3_log,
 )
@@ -78,14 +77,14 @@ class Wrench:
 
 def compose(a: Transform, b: Transform) -> Transform:
     """Group product: rotation R_a R_b, translation R_a t_b + t_a."""
-    m = _snap(a.rotation.m @ b.rotation.m)
-    t = a.rotation.m @ b.translation + a.translation
-    return Transform(RotationMatrix(m), t)
+    with np.errstate(over="ignore"):  # an overflow is left to Transform's finiteness check
+        t = a.rotation.m @ b.translation + a.translation
+    return Transform(_repair(a.rotation.m @ b.rotation.m), t)
 
 
 def inverse(t: Transform) -> Transform:
-    rt = t.rotation.m.T
-    return Transform(RotationMatrix(rt), -(rt @ t.translation))
+    rot = _repair(t.rotation.m.T)
+    return Transform(rot, -(rot.m @ t.translation))
 
 
 def transform_point(t: Transform, p) -> np.ndarray:
@@ -136,14 +135,14 @@ def adjoint(t: Transform) -> np.ndarray:
 def adjoint_apply_twist(t: Transform, xi: Twist) -> Twist:
     """Change the frame of a twist: w' = R w, v' = R v + t x (R w)."""
     rw = t.rotation.m @ xi.w
-    rv = t.rotation.m @ xi.v + np.cross(t.translation, rw)
+    rv = t.rotation.m @ xi.v + _hat(t.translation) @ rw
     return Twist(rv, rw)
 
 
 def transform_wrench(t: Transform, h: Wrench) -> Wrench:
     """Dual (co-adjoint) map keeping the power pairing f.v + tau.w invariant."""
     rf = t.rotation.m @ h.f
-    rtau = t.rotation.m @ h.tau + np.cross(t.translation, rf)
+    rtau = t.rotation.m @ h.tau + _hat(t.translation) @ rf
     return Wrench(rf, rtau)
 
 
@@ -178,23 +177,25 @@ def _stack_transforms(transforms) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _inverse_stack(rs, ts) -> tuple[np.ndarray, np.ndarray]:
-    """inverse over stacks, its transposed rotations checked as one stack.
+    """inverse over stacks, its transposed rotations put through _repair_stack as one stack.
 
     The rotations are returned as transposed views, not copies: inverse()
     and compose() multiply with that layout, and BLAS may round a
-    row-major copy differently.
+    row-major copy differently (as it may where an element is re-projected).
     """
-    rt = _check_rotation_stack(np.swapaxes(rs, 1, 2))
+    rt = _repair_stack(np.swapaxes(rs, 1, 2))
     return rt, -(rt @ ts[..., None])[..., 0]
 
 
 def _compose_stack(ra, ta, rb, tb) -> tuple[np.ndarray, np.ndarray]:
     """compose over stacks; either side may be a single (3, 3), (3,) element.
 
-    The products are checked as one stack, as compose checks each one.
+    The products go through _repair_stack, as compose puts each through
+    _repair. An overflowing translation is left to the caller's finiteness check.
     """
-    r = _check_rotation_stack(_snap_stack(ra @ rb))
-    return r, (ra @ tb[..., None])[..., 0] + ta
+    with np.errstate(over="ignore"):
+        t = (ra @ tb[..., None])[..., 0] + ta
+    return _repair_stack(ra @ rb), t
 
 
 def _build_transforms(rs: np.ndarray, ts: np.ndarray) -> list[Transform]:

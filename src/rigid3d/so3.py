@@ -175,7 +175,7 @@ def quat_to_matrix(q: UnitQuaternion) -> RotationMatrix:
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
-    return RotationMatrix(m)
+    return _repair(m)
 
 
 def matrix_to_quat(r_mat: RotationMatrix) -> UnitQuaternion:
@@ -231,7 +231,7 @@ def _rz(a: float) -> np.ndarray:
 def euler_to_matrix(e: EulerAngles) -> RotationMatrix:
     """Rz Ry Rx: both conventions store the angles about x, y and z, in that order."""
     ax, ay, az = e.angles
-    return RotationMatrix(_snap(_rz(az) @ _ry(ay) @ _rx(ax)))
+    return _repair(_rz(az) @ _ry(ay) @ _rx(ax))
 
 
 def matrix_to_euler(
@@ -275,7 +275,7 @@ def orthonormalize(m) -> RotationMatrix:
     r = _project(u, vt)
     if np.linalg.norm(m - r) > 0.5:
         raise DegenerateMatrix("matrix is too far from SO(3) to repair")
-    return RotationMatrix(r)
+    return _repair(r)
 
 
 def geodesic_distance(a: RotationMatrix, b: RotationMatrix) -> float:
@@ -284,8 +284,7 @@ def geodesic_distance(a: RotationMatrix, b: RotationMatrix) -> float:
     Computed as the norm of the log map, which stays accurate near zero
     where arccos of the trace loses half the available precision.
     """
-    rel = _snap(_as_rotation(a).T @ _as_rotation(b))
-    return float(np.linalg.norm(so3_log(RotationMatrix(rel))))
+    return float(np.linalg.norm(so3_log(_repair(_as_rotation(a).T @ _as_rotation(b)))))
 
 
 def random_rotation(rng: np.random.Generator) -> RotationMatrix:
@@ -294,7 +293,7 @@ def random_rotation(rng: np.random.Generator) -> RotationMatrix:
     q = q @ np.diag(np.sign(np.diag(r)))
     if np.linalg.det(q) < 0:
         q[:, 2] = -q[:, 2]
-    return RotationMatrix(_snap(q))
+    return _repair(q)
 
 
 def _hat(v: np.ndarray) -> np.ndarray:
@@ -320,7 +319,7 @@ def _rodrigues(w: np.ndarray) -> tuple[RotationMatrix, float, float, np.ndarray,
         sin = math.sin(theta)
         a, b, c = sin / theta, (1.0 - math.cos(theta)) / theta**2, (theta - sin) / theta**3
     k2 = k @ k
-    return RotationMatrix(_snap(np.eye(3) + a * k + b * k2)), b, c, k, k2
+    return _repair(np.eye(3) + a * k + b * k2), b, c, k, k2
 
 
 def _as_rotation(r_mat) -> np.ndarray:
@@ -330,12 +329,12 @@ def _as_rotation(r_mat) -> np.ndarray:
     return RotationMatrix(r_mat).m
 
 
-def _snap(m: np.ndarray) -> np.ndarray:
-    """Re-orthonormalize only if numerical drift exceeds the type tolerance."""
+def _repair(m: np.ndarray) -> RotationMatrix:
+    """RotationMatrix of a rotation the library computed: re-projected onto SO(3) past ORTHO_TOL, then checked."""
     if np.linalg.norm(m.T @ m - np.eye(3)) > ORTHO_TOL:
         u, _, vt = np.linalg.svd(m)
         m = _project(u, vt)
-    return m
+    return RotationMatrix(m)
 
 
 def _project(u: np.ndarray, vt: np.ndarray) -> np.ndarray:
@@ -353,7 +352,7 @@ def _first_nonzero_negative(components) -> bool:
 
 # Stacked kernels over (n, 3, 3) rotation and (n, 3) vector stacks. The
 # solvers use them in place of per-sample loops over the scalar functions
-# above; each gives, bit for bit, what that loop gives.
+# above; each gives, bit for bit, what that loop gives (but see se3._inverse_stack).
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -371,24 +370,21 @@ def _ortho_drift(ms: np.ndarray) -> np.ndarray:
     return _row_norms((np.swapaxes(ms, 1, 2) @ ms - np.eye(3)).reshape(-1, 9))
 
 
-def _check_rotation_stack(ms: np.ndarray) -> np.ndarray:
-    """Apply RotationMatrix's checks to every element of an (n, 3, 3) stack.
+def _repair_stack(ms: np.ndarray) -> np.ndarray:
+    """_repair of every element of an (n, 3, 3) stack, its checks measured once over the stack.
 
-    The elements the vectorised test flags are then built one at a time,
-    so the first bad one raises exactly what RotationMatrix raises.
+    The flagged elements go through _repair, the first bad one first. The
+    caller's array is never written: with nothing flagged it is returned
+    itself, else a copy in its memory layout.
     """
     with np.errstate(invalid="ignore"):  # non-finite elements are flagged below
         drift = _ortho_drift(ms)
         det_err = np.abs(np.linalg.det(ms) - 1.0)
-    for i in np.flatnonzero(~((drift <= ORTHO_TOL) & (det_err <= ORTHO_TOL))):
-        RotationMatrix(ms[i])
-    return ms
-
-
-def _snap_stack(ms: np.ndarray) -> np.ndarray:
-    """_snap of every element of an (n, 3, 3) stack, in place."""
-    for i in np.flatnonzero(_ortho_drift(ms) > ORTHO_TOL):
-        ms[i] = _snap(ms[i])
+    bad = np.flatnonzero(~((drift <= ORTHO_TOL) & (det_err <= ORTHO_TOL)))
+    if len(bad):
+        ms = ms.copy(order="K")
+        for i in bad:
+            ms[i] = _repair(ms[i]).m
     return ms
 
 

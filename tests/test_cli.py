@@ -199,6 +199,13 @@ INPUT_ERRORS = {
         ["log", "--pose", "0,0,0,1,0,0,x"], None, 1,
         "usage error: bad --pose: could not convert string to float: 'x'",
     ),
+    "compose_translation_overflow": (
+        ["compose", "{path}", "{path}"], "1e308,1e308,1e308,1,0,0,0\n", 2, "error: translation contains non-finite values"
+    ),
+    "handeye_translation_overflow": (
+        ["handeye", "{path}", "{path}"], "1e308,1e308,1e308,1,0,0,0\n-1e308,-1e308,-1e308,1,0,0,0\n" * 2, 2,
+        "error: translation contains non-finite values",
+    ),
     "inline_compose_drift": (
         ["compose", "0,0,0,1.0001,0,0,0"], None, 2,
         "error: quaternion norm 1.0001 deviates from 1 by more than 1e-6",

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import rigid3d as r
 from rigid3d.errors import NotARotation, Rigid3dError
-from rigid3d.so3 import NEAR_PI, SMALL_ANGLE, _check_rotation_stack, _log_stack
+from rigid3d.so3 import NEAR_PI, SMALL_ANGLE, _log_stack, _repair, _repair_stack
 
 from conftest import random_transform
 from test_calibration import synthetic_handeye, synthetic_pivot
@@ -62,7 +62,6 @@ def test_log_stack_is_bitwise_so3_log(items):
 
 BAD = {
     "reflection": lambda m: -m,
-    "off_orthogonal": lambda m: m + 1e-6 * np.outer([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
     "nan": lambda m: np.where(np.eye(3) == 1, np.nan, m),
 }
 
@@ -76,7 +75,20 @@ def test_stack_check_raises_what_rotation_matrix_raises(kind, pos, seed):
     with pytest.raises(Rigid3dError) as scalar:
         r.RotationMatrix(stack[pos])
     with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
-        _check_rotation_stack(stack)
+        _repair_stack(stack)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 4), SEEDS)
+def test_stack_check_repairs_drift_as_the_scalar_step_does(pos, seed):
+    # a computed rotation off SO(3) by 1e-6 is re-projected, not rejected, and the caller's stack is not written
+    rng = np.random.default_rng(seed)
+    stack = np.array([r.random_rotation(rng).m for _ in range(5)])
+    stack[pos] += 1e-6 * np.outer([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    stack.setflags(write=False)
+    got = _repair_stack(stack)
+    assert np.array_equal(got[pos], _repair(stack[pos]).m)
+    assert np.array_equal(np.delete(got, pos, axis=0), np.delete(stack, pos, axis=0))
 
 
 def test_stack_check_reports_the_first_bad_element(rng):
@@ -84,12 +96,12 @@ def test_stack_check_reports_the_first_bad_element(rng):
     stack[1] = -stack[1]
     stack[3] = np.nan
     with pytest.raises(NotARotation, match="determinant"):
-        _check_rotation_stack(stack)
+        _repair_stack(stack)
 
 
 def test_stack_check_passes_valid_stack(rng):
     stack = np.array([r.random_rotation(rng).m for _ in range(10)])
-    assert _check_rotation_stack(stack) is stack
+    assert _repair_stack(stack) is stack
 
 
 @settings(max_examples=30, deadline=None)

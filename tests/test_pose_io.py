@@ -109,6 +109,11 @@ class TestRelativeMotions:
             acc = r.compose(acc, m)
         np.testing.assert_allclose(r.to_matrix4(acc), r.to_matrix4(poses[-1]), atol=1e-12)
 
+    def test_translation_overflow_is_rejected(self):
+        poses = [r.Transform(r.RotationMatrix.identity(), [s * 1e308] * 3) for s in (1.0, -1.0, 1.0, -1.0)]
+        with pytest.raises(Rigid3dError, match="^translation contains non-finite values$"):
+            r.relative_motions(poses)
+
     def test_too_few(self, rng):
         with pytest.raises(TooFewPoses):
             r.relative_motions([random_transform(rng)])

@@ -73,6 +73,11 @@ class TestGroupOps:
         assert drift(c.rotation.m) < 1e-12
         np.testing.assert_allclose(c.rotation.m, a.rotation.m @ b.rotation.m, atol=1e-8)
 
+    def test_compose_translation_overflow_is_rejected(self):
+        t = r.Transform(r.RotationMatrix.identity(), [1e308, 1e308, 1e308])
+        with pytest.raises(Rigid3dError, match="^translation contains non-finite values$"):
+            r.compose(t, t)
+
     def test_double_inverse(self, rng):
         t = random_transform(rng)
         np.testing.assert_allclose(r.to_matrix4(r.inverse(r.inverse(t))), r.to_matrix4(t), atol=1e-12)

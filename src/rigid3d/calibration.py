@@ -14,6 +14,7 @@ import numpy as np
 from .errors import (
     DegenerateGeometry,
     DegenerateMotion,
+    Rigid3dError,
     TooFewMotions,
     TooFewPoints,
     TooFewPoses,
@@ -63,18 +64,21 @@ def register_point_sets(p, q) -> RegistrationResult:
     if p.shape[0] < 3:
         raise TooFewPoints("registration needs at least 3 point pairs")
 
-    p_bar = p.mean(axis=0)
-    q_bar = q.mean(axis=0)
-    h = (p - p_bar).T @ (q - q_bar)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below, before the SVD sees it
+        p_bar = p.mean(axis=0)
+        q_bar = q.mean(axis=0)
+        h = (p - p_bar).T @ (q - q_bar)
+    if not np.all(np.isfinite(h)):
+        raise Rigid3dError("cross-covariance of the points overflows double precision")
     u, sigma, vt = np.linalg.svd(h)
     if sigma[1] < SINGULAR_RATIO * sigma[0]:  # sorted, so sigma[2] is below the ratio too
         raise DegenerateGeometry("points are collinear: rotation about the line is unconstrained")
     rot = orthonormalize(_project(vt.T, u.T))
     t = q_bar - rot.m @ p_bar
     transform = Transform(rot, t)
-    residuals = np.linalg.norm((p @ rot.m.T + t) - q, axis=1)
-    rms = math.sqrt(float(np.mean(residuals**2)))
-    return RegistrationResult(transform, rms, residuals)
+    with np.errstate(over="ignore"):  # an overflowing residual is left to _rms
+        residuals = np.linalg.norm((p @ rot.m.T + t) - q, axis=1)
+    return RegistrationResult(transform, _rms(residuals), residuals)
 
 
 def pivot_calibrate(samples) -> PivotResult:
@@ -100,8 +104,7 @@ def pivot_calibrate(samples) -> PivotResult:
         raise DegenerateMotion("insufficient rotational diversity: tip and pivot are not separable")
     tip, pivot = sol[:3], sol[3:]
     errs = _row_norms(rs @ tip + ts - pivot)
-    rms = math.sqrt(float(np.mean(errs**2)))
-    return PivotResult(tip, pivot, rms, errs)
+    return PivotResult(tip, pivot, _rms(errs), errs)
 
 
 def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
@@ -146,10 +149,19 @@ def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
     trans_errs = _row_norms(c @ t_x - d)
     return HandEyeResult(
         Transform(rot_x, t_x),
-        math.sqrt(float(np.mean(np.square(rot_errs)))),
-        math.sqrt(float(np.mean(trans_errs**2))),
+        _rms(rot_errs),
+        _rms(trans_errs),
         trans_errs,
     )
+
+
+def _rms(errs: np.ndarray) -> float:
+    """Root mean square of residual norms; Rigid3dError where it overflows."""
+    with np.errstate(over="ignore"):
+        rms = math.sqrt(float(np.mean(errs**2)))
+    if not math.isfinite(rms):
+        raise Rigid3dError("residual RMS overflows double precision")
+    return rms
 
 
 def _check_axis_diversity(alphas) -> None:

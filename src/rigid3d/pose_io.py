@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonUnitQuaternion, ParseError, TooFewPoses
 from .se3 import Transform, _build_transforms, _compose_stack, _inverse_stack, _stack_transforms
-from .so3 import UnitQuaternion, matrix_to_quat, quat_to_matrix
+from .so3 import UnitQuaternion, _quat_norm, matrix_to_quat, quat_to_matrix
 from .validation import check_matrix
 
 POSE_HEADER = "tx,ty,tz,qw,qx,qy,qz"
@@ -59,7 +59,7 @@ def _pose_from_fields(values, lineno: int = 0) -> Transform:
     A norm off 1 by more than QUAT_REJECT_TOL raises NonUnitQuaternion at lineno.
     """
     tx, ty, tz, qw, qx, qy, qz = values
-    norm = math.sqrt(qw**2 + qx**2 + qy**2 + qz**2)
+    norm = _quat_norm(qw, qx, qy, qz)
     if abs(norm - 1.0) > QUAT_REJECT_TOL:
         raise NonUnitQuaternion(lineno, norm)
     return Transform(quat_to_matrix(UnitQuaternion(qw / norm, qx / norm, qy / norm, qz / norm)), (tx, ty, tz))

@@ -84,15 +84,22 @@ def compose(a: Transform, b: Transform) -> Transform:
 
 def inverse(t: Transform) -> Transform:
     rot = _repair(t.rotation.m.T)
-    return Transform(rot, -(rot.m @ t.translation))
+    with np.errstate(over="ignore"):  # an overflow is left to Transform's finiteness check
+        return Transform(rot, -(rot.m @ t.translation))
 
 
 def transform_point(t: Transform, p) -> np.ndarray:
-    return t.rotation.m @ check_matrix(p, (3,), "point") + t.translation
+    """R p + t; a result that overflows raises Rigid3dError."""
+    with np.errstate(over="ignore"):
+        out = t.rotation.m @ check_matrix(p, (3,), "point") + t.translation
+    return check_matrix(out, (3,), "transformed point")
 
 
 def transform_direction(t: Transform, v) -> np.ndarray:
-    return t.rotation.m @ check_matrix(v, (3,), "direction")
+    """R v; a result that overflows raises Rigid3dError."""
+    with np.errstate(over="ignore"):
+        out = t.rotation.m @ check_matrix(v, (3,), "direction")
+    return check_matrix(out, (3,), "transformed direction")
 
 
 def _v_inverse(w: np.ndarray) -> np.ndarray:
@@ -112,14 +119,15 @@ def se3_exp(xi: Twist) -> Transform:
     if not isinstance(xi, Twist):
         xi = Twist.from_array(xi)
     rot, b, c, k, k2 = _rodrigues(xi.w)
-    return Transform(rot, (np.eye(3) + b * k + c * k2) @ xi.v)
+    with np.errstate(over="ignore"):  # an overflow is left to Transform's finiteness check
+        return Transform(rot, (np.eye(3) + b * k + c * k2) @ xi.v)
 
 
 def se3_log(t: Transform) -> Twist:
     """Logarithm map; inverse of se3_exp for rotation angle below pi."""
     w = so3_log(t.rotation)
-    v = _v_inverse(w) @ t.translation
-    return Twist(v, w)
+    with np.errstate(over="ignore"):  # an overflow is left to Twist's finiteness check
+        return Twist(_v_inverse(w) @ t.translation, w)
 
 
 def adjoint(t: Transform) -> np.ndarray:
@@ -184,16 +192,18 @@ def _inverse_stack(rs, ts) -> tuple[np.ndarray, np.ndarray]:
     row-major copy differently (as it may where an element is re-projected).
     """
     rt = _repair_stack(np.swapaxes(rs, 1, 2))
-    return rt, -(rt @ ts[..., None])[..., 0]
+    with np.errstate(over="ignore"):  # an overflow is left to the caller's finiteness check
+        return rt, -(rt @ ts[..., None])[..., 0]
 
 
 def _compose_stack(ra, ta, rb, tb) -> tuple[np.ndarray, np.ndarray]:
     """compose over stacks; either side may be a single (3, 3), (3,) element.
 
     The products go through _repair_stack, as compose puts each through
-    _repair. An overflowing translation is left to the caller's finiteness check.
+    _repair. An overflowing translation is left to the caller's finiteness check,
+    as is the NaN of an infinite ta (from _inverse_stack) plus an opposite overflow.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         t = (ra @ tb[..., None])[..., 0] + ta
     return _repair_stack(ra @ rb), t
 

@@ -30,7 +30,7 @@ from .validation import check_matrix, freeze
 ORTHO_TOL = 1e-9
 SMALL_ANGLE = 1e-8  # so3_log returns the antisymmetric part itself below this angle
 SERIES_ANGLE = 1e-4  # exp, V and V^-1 take Taylor series below this angle, where their closed forms cancel
-NEAR_PI = math.pi - 1e-2  # so3_log's mid-range formula loses eps/(pi - theta)^2; its near-pi branch runs above this
+NEAR_PI = math.pi - 1e-2  # so3_log's mid-range formula loses eps/(pi - theta)^2; above this it reads the quaternion
 NEAR_LOCK = math.pi / 2 - 1e-2  # asin loses eps/(pi/2 - |pitch|); matrix_to_euler takes pitch from atan2 above this
 EXP_MAX_COMPONENT = 1e100  # exp rejects larger |w_i|: the norm, and theta**3 below, would overflow past ~1e102
 
@@ -69,7 +69,7 @@ class UnitQuaternion:
     z: float
 
     def __post_init__(self):
-        n = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
+        n = _quat_norm(self.w, self.x, self.y, self.z)
         if not abs(n - 1.0) <= 1e-6:  # written so that a NaN norm is rejected
             raise NotUnitQuaternion(f"quaternion norm {n:.9g} deviates from 1 by more than 1e-6")
         object.__setattr__(self, "w", float(self.w) / n)
@@ -136,12 +136,14 @@ def so3_exp(r) -> RotationMatrix:
 def so3_log(r_mat: RotationMatrix) -> np.ndarray:
     """Rotation vector with angle in [0, pi].
 
-    Mid-range uses the antisymmetric-part formula; near pi the axis is
-    recovered from the symmetric part (well conditioned where sin(theta)
-    vanishes) and the angle is refined through arcsin of the residual
-    antisymmetry.
+    Mid-range uses the antisymmetric-part formula. Near pi, where sin(theta)
+    vanishes, angle and axis come from the canonical Shepperd quaternion
+    (w, v) of matrix_to_quat as 2 atan2(|v|, w) v / |v|; at exactly pi its
+    sign rule makes the first nonzero axis component positive.
     """
-    m = _as_rotation(r_mat)
+    if not isinstance(r_mat, RotationMatrix):
+        r_mat = RotationMatrix(r_mat)
+    m = r_mat.m
     cos_theta = max(-1.0, min(1.0, (np.trace(m) - 1.0) / 2.0))
     theta = math.acos(cos_theta)
     w = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]]) / 2.0
@@ -149,17 +151,9 @@ def so3_log(r_mat: RotationMatrix) -> np.ndarray:
     if theta < SMALL_ANGLE:
         return w
     if theta > NEAR_PI:
-        # outer-product reconstruction: (sym(m) - cos*I) / (1 - cos) == a a^T
-        n = ((m + m.T) / 2.0 - cos_theta * np.eye(3)) / (1.0 - cos_theta)
-        k = int(np.argmax(np.diag(n)))
-        axis = n[:, k] / math.sqrt(n[k, k])
-        axis /= np.linalg.norm(axis)
-        s = float(axis @ w)  # = sin(theta) when the sign is right
-        # at theta == pi exactly s is 0 and either sign is valid: the axis decides
-        if s < 0.0 or (s == 0.0 and _first_nonzero_negative(axis)):
-            axis, s = -axis, -s
-        theta = math.pi - math.asin(min(1.0, s))
-        return theta * axis
+        q = matrix_to_quat(r_mat)
+        s = math.hypot(q.x, q.y, q.z)
+        return (2.0 * math.atan2(s, q.w) / s) * np.array([q.x, q.y, q.z])
     return (theta / (2.0 * math.sin(theta))) * (2.0 * w)
 
 
@@ -342,6 +336,14 @@ def _project(u: np.ndarray, vt: np.ndarray) -> np.ndarray:
     return u @ np.diag([1.0, 1.0, np.linalg.det(u @ vt)]) @ vt
 
 
+def _quat_norm(w, x, y, z) -> float:
+    """Euclidean norm of a quaternion's components; inf where a square overflows."""
+    try:
+        return math.sqrt(w**2 + x**2 + y**2 + z**2)
+    except OverflowError:
+        return math.inf
+
+
 def _first_nonzero_negative(components) -> bool:
     """Sign tie-break: True when the first nonzero component is negative, so a flip makes it positive."""
     for c in components:
@@ -362,7 +364,8 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     np.linalg.norm(x, axis=1) sums in another order and can differ in the
     last bit.
     """
-    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    with np.errstate(over="ignore"):  # an overflowing row gives inf, left to the caller's finiteness check
+        return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
 def _ortho_drift(ms: np.ndarray) -> np.ndarray:
@@ -393,8 +396,8 @@ def _log_stack(ms: np.ndarray) -> np.ndarray:
 
     Angles and sines come from math.acos and math.sin element by element:
     np.arccos and np.sin may use SIMD code that differs from so3_log in the
-    last bit. Elements near pi go to so3_log itself, which owns the
-    axis-sign rule there.
+    last bit. Elements above NEAR_PI go to so3_log itself, which reads
+    them from the canonical quaternion of matrix_to_quat.
     """
     cos_theta = np.clip((np.trace(ms, axis1=1, axis2=2) - 1.0) / 2.0, -1.0, 1.0)
     theta = np.array([math.acos(c) for c in cos_theta])

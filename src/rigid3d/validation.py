@@ -13,7 +13,7 @@ def check_matrix(x, shape: tuple, name: str = "matrix") -> np.ndarray:
     # the exact comparison first keeps the fixed-shape path as cheap as a plain shape test
     if arr.shape != shape and (arr.ndim != len(shape) or any(s not in (None, a) for s, a in zip(shape, arr.shape))):
         raise Rigid3dError(f"{name} must have shape {str(shape).replace('None', 'n')}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise Rigid3dError(f"{name} contains non-finite values")
     return arr
 

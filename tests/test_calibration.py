@@ -7,6 +7,7 @@ import rigid3d as r
 from rigid3d.errors import (
     DegenerateGeometry,
     DegenerateMotion,
+    Rigid3dError,
     TooFewMotions,
     TooFewPoints,
     TooFewPoses,
@@ -80,6 +81,19 @@ class TestRegistration:
         with pytest.raises(TooFewPoints):
             r.register_point_sets([[0, 0, 0], [1, 0, 0]], [[0, 0, 0], [1, 0, 0]])
 
+    def test_cross_covariance_overflow_is_rejected(self):
+        p = np.array([[1e155, 0, 0], [0, 1e155, 0], [0, 0, 1e155], [1, 2, 3]])
+        with pytest.raises(Rigid3dError, match="^cross-covariance of the points overflows double precision$"):
+            r.register_point_sets(p, p)
+
+    # the cross-covariance is finite in both; the residuals' norms overflow in the first,
+    # their mean square in the second
+    @pytest.mark.parametrize("q", [[[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], -np.eye(4, 3)])
+    def test_residual_overflow_is_rejected(self, q):
+        p = np.eye(4, 3)
+        with pytest.raises(Rigid3dError, match="^residual RMS overflows double precision$"):
+            r.register_point_sets(p, 1e154 * np.array(q, dtype=float))
+
     def test_rms_matches_per_point(self, rng):
         p = rng.standard_normal((8, 3))
         q = p + rng.normal(0, 0.1, p.shape)
@@ -151,6 +165,11 @@ class TestPivot:
         # A = [I, -I] stacked has three singular values of exactly 0
         poses = [r.Transform(r.RotationMatrix.identity(), t) for t in rng.standard_normal((3, 3))]
         with pytest.raises(DegenerateMotion, match="tip and pivot are not separable"):
+            r.pivot_calibrate(poses)
+
+    def test_residual_overflow_is_rejected(self, rng):
+        poses = [random_transform(rng, trans_scale=1e200) for _ in range(6)]
+        with pytest.raises(Rigid3dError, match="^residual RMS overflows double precision$"):
             r.pivot_calibrate(poses)
 
     def test_noise_bound(self, rng):
@@ -234,6 +253,12 @@ class TestHandEye:
         evals = np.linalg.eigvalsh(m.T @ m)
         assert evals[0] >= 1e-12 * max(evals[-1], 1.0)  # the M^T M test would pass
         with pytest.raises(DegenerateMotion, match="parallel"):
+            r.hand_eye_calibrate(a_list, b_list)
+
+    def test_residual_overflow_is_rejected(self, rng):
+        _, a_list, b_list = synthetic_handeye(rng)
+        a_list, b_list = ([r.Transform(t.rotation, 1e200 * t.translation) for t in ts] for ts in (a_list, b_list))
+        with pytest.raises(Rigid3dError, match="^residual RMS overflows double precision$"):
             r.hand_eye_calibrate(a_list, b_list)
 
     def test_noise_bound(self, rng):

@@ -165,6 +165,11 @@ class TestExitCodes:
 
 
 POSE_HEADER_ONLY = "tx,ty,tz,qw,qx,qy,qz\n"
+# translations of order 1e200: the solvers succeed, but their residuals' squares overflow
+HUGE_TRANSLATION_POSES = (
+    "1e200,2e200,-1e200,1,0,0,0\n-2e200,1e200,1e200,0.6,0.8,0,0\n1e200,-1e200,2e200,0.6,0,0.8,0\n"
+    "2e200,1e200,-2e200,0.6,0,0,0.8\n-1e200,-2e200,1e200,0,1,0,0\n1e200,1e200,1e200,0,0,1,0\n"
+)
 
 # argv, the text of the file that {path} names (None: no file), exit code, the one stderr line
 INPUT_ERRORS = {
@@ -205,6 +210,46 @@ INPUT_ERRORS = {
     "handeye_translation_overflow": (
         ["handeye", "{path}", "{path}"], "1e308,1e308,1e308,1,0,0,0\n-1e308,-1e308,-1e308,1,0,0,0\n" * 2, 2,
         "error: translation contains non-finite values",
+    ),
+    # the first pose's rotated translation overflows, in the inverse that relative motions take
+    "handeye_inverse_overflow": (
+        ["handeye", "{path}", "{path}"],
+        "1.7e308,1.7e308,1.7e308,0.8,0.2,0.4,0.4\n0,0,0,1,0,0,0\n0,0,0,0,1,0,0\n0,0,0,0,0,1,0\n",
+        2,
+        "error: translation contains non-finite values",
+    ),
+    # T_0^-1 overflows to inf, and T_0^-1 T_1 adds the opposite overflow of R_0^T t_1 to it
+    "handeye_relative_motion_overflow": (
+        ["handeye", "{path}", "{path}"],
+        "1.7e308,1.7e308,1.7e308,0.8,0.2,0.4,0.4\n" * 2 + "0,0,0,0,1,0,0\n0,0,0,0,0,1,0\n",
+        2,
+        "error: translation contains non-finite values",
+    ),
+    "log_translation_overflow": (
+        ["log", "--pose", "1.7e308,1.7e308,1.7e308,0,0.6,0.8,0"], None, 2,
+        "error: twist linear part contains non-finite values",
+    ),
+    "exp_translation_overflow": (
+        ["exp", "--twist", "1.7e308,1.7e308,1.7e308,0.1,0.2,0.3"], None, 2,
+        "error: translation contains non-finite values",
+    ),
+    "pivot_residual_overflow": (
+        ["pivot", "{path}"], HUGE_TRANSLATION_POSES, 2, "error: residual RMS overflows double precision"
+    ),
+    "handeye_residual_overflow": (
+        ["handeye", "{path}", "{path}"], HUGE_TRANSLATION_POSES, 2, "error: residual RMS overflows double precision"
+    ),
+    "register_covariance_overflow": (
+        ["register", "{path}", "{path}"], "1e155,0,0\n0,1e155,0\n0,0,1e155\n1,2,3\n", 2,
+        "error: cross-covariance of the points overflows double precision",
+    ),
+    "pose_flag_quat_overflow": (
+        ["convert", "--pose", "0,0,0,1e200,0,0,0", "--to", "quat"], None, 1,
+        "usage error: --pose quaternion is not unit norm",
+    ),
+    "pose_quat_overflow": (
+        ["log", "--input", "{path}"], "0,0,0,1e200,0,0,0\n", 2,
+        "error: line 1: quaternion norm inf deviates from 1 by more than 1e-3",
     ),
     "inline_compose_drift": (
         ["compose", "0,0,0,1.0001,0,0,0"], None, 2,

@@ -78,6 +78,12 @@ class TestGroupOps:
         with pytest.raises(Rigid3dError, match="^translation contains non-finite values$"):
             r.compose(t, t)
 
+    def test_inverse_translation_overflow_is_rejected(self):
+        # |t| is past the largest double, so a rotated component can be too
+        t = r.Transform(r.quat_to_matrix(r.UnitQuaternion(0.8, 0.2, 0.4, 0.4)), [1.7e308] * 3)
+        with pytest.raises(Rigid3dError, match="^translation contains non-finite values$"):
+            r.inverse(t)
+
     def test_double_inverse(self, rng):
         t = random_transform(rng)
         np.testing.assert_allclose(r.to_matrix4(r.inverse(r.inverse(t))), r.to_matrix4(t), atol=1e-12)
@@ -104,6 +110,16 @@ class TestActions:
         v = rng.standard_normal(3)
         t = r.Transform(r.RotationMatrix.identity(), [5, -3, 2])
         np.testing.assert_array_equal(r.transform_direction(t, v), v)
+
+    def test_point_overflow_is_rejected(self):
+        t = r.Transform(np.eye(3), [1.7e308] * 3)
+        with pytest.raises(Rigid3dError, match="^transformed point contains non-finite values$"):
+            r.transform_point(t, [1e308] * 3)
+
+    def test_direction_overflow_is_rejected(self):
+        t = r.Transform(r.quat_to_matrix(r.UnitQuaternion(0.8, 0.2, 0.4, 0.4)), np.zeros(3))
+        with pytest.raises(Rigid3dError, match="^transformed direction contains non-finite values$"):
+            r.transform_direction(t, [1.7e308] * 3)
 
     def test_direction_is_affine_difference(self, rng):
         for _ in range(50):

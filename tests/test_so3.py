@@ -11,6 +11,7 @@ from rigid3d.errors import (
     NotUnitQuaternion,
     UnsupportedConvention,
 )
+from rigid3d.so3 import NEAR_PI
 
 from conftest import random_rotvec
 
@@ -92,6 +93,18 @@ class TestExpLog:
             axis = rng.standard_normal(3)
             v = axis / np.linalg.norm(axis) * (math.pi - delta)
             np.testing.assert_allclose(r.so3_log(r.so3_exp(v)), v, rtol=0, atol=1e-10)
+
+    def test_log_near_pi_matches_scipy(self):
+        rotation = pytest.importorskip("scipy.spatial.transform").Rotation  # test-only oracle
+        rng = np.random.default_rng(20261018)
+        for _ in range(2000):
+            axis = rng.standard_normal(3)
+            axis /= np.linalg.norm(axis)
+            # theta in (NEAR_PI, pi - 1e-13]: the near-pi branch
+            rot = r.so3_exp(axis * (math.pi - rng.uniform(1e-13, math.pi - NEAR_PI)))
+            np.testing.assert_allclose(
+                r.so3_log(rot), rotation.from_matrix(rot.m).as_rotvec(), rtol=0, atol=1e-13
+            )
 
     def test_log_angle_in_range(self, rng):
         for _ in range(200):
@@ -178,6 +191,10 @@ class TestQuaternion:
     def test_rejects_non_unit(self):
         with pytest.raises(NotUnitQuaternion):
             r.UnitQuaternion(1.1, 0, 0, 0)
+
+    def test_rejects_overflowing_norm(self):
+        with pytest.raises(NotUnitQuaternion, match="^quaternion norm inf deviates"):
+            r.UnitQuaternion(1e200, 0, 0, 0)
 
     def test_canonical_tie_break_at_zero_w(self):
         q = r.UnitQuaternion(0.0, 0.0, -0.6, 0.8).canonical()

@@ -93,6 +93,8 @@ def _read(path: str, parse):
             return parse(fh)
     except OSError as exc:
         raise ParseError(0, f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(0, f"cannot read {path}: not UTF-8 text") from None
 
 
 def _load_poses(path: str) -> list[Transform]:

@@ -8,6 +8,8 @@ the NumPy-only footprint.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .calibration import hand_eye_calibrate, pivot_calibrate, register_point_sets
 from .errors import Rigid3dError
 from .se3 import _build_transforms, _compose_stack, _stack_transforms, inverse
@@ -58,10 +60,12 @@ class RigidRegistration(BaseEstimator):
         return self
 
     def transform(self, X):
-        """Apply the fitted rigid transform to an (n, 3) point array."""
+        """Apply the fitted rigid transform to an (n, 3) point array; a result that overflows raises Rigid3dError."""
         self._fitted("transform_")
         pts = check_matrix(X, (None, 3), "points")
-        return pts @ self.transform_.rotation.m.T + self.transform_.translation
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = pts @ self.transform_.rotation.m.T + self.transform_.translation
+        return check_matrix(out, (None, 3), "transformed points")
 
     def fit_transform(self, X, y):
         return self.fit(X, y).transform(X)
@@ -84,10 +88,12 @@ class PivotCalibrator(BaseEstimator):
         return self
 
     def predict(self, X):
-        """World-frame tip position for each pose in X."""
+        """World-frame tip position for each pose in X; a result that overflows raises Rigid3dError."""
         self._fitted("tip_offset_")
         rs, ts = _stack_transforms(X)
-        return rs @ self.tip_offset_ + ts
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = rs @ self.tip_offset_ + ts
+        return check_matrix(out, (None, 3), "predicted tips")
 
 
 class HandEyeCalibrator(BaseEstimator):

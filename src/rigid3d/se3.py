@@ -131,26 +131,29 @@ def se3_log(t: Transform) -> Twist:
 
 
 def adjoint(t: Transform) -> np.ndarray:
-    """6x6 adjoint [[R, hat(t) R], [0, R]] for (v, w)-ordered twists."""
+    """6x6 adjoint [[R, hat(t) R], [0, R]] for (v, w)-ordered twists; a result that overflows raises Rigid3dError."""
     r = t.rotation.m
     out = np.zeros((6, 6))
     out[:3, :3] = r
-    out[:3, 3:] = _hat(t.translation) @ r
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[:3, 3:] = _hat(t.translation) @ r
     out[3:, 3:] = r
-    return out
+    return check_matrix(out, (6, 6), "adjoint")
 
 
 def adjoint_apply_twist(t: Transform, xi: Twist) -> Twist:
     """Change the frame of a twist: w' = R w, v' = R v + t x (R w)."""
-    rw = t.rotation.m @ xi.w
-    rv = t.rotation.m @ xi.v + _hat(t.translation) @ rw
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to Twist's finiteness check
+        rw = t.rotation.m @ xi.w
+        rv = t.rotation.m @ xi.v + _hat(t.translation) @ rw
     return Twist(rv, rw)
 
 
 def transform_wrench(t: Transform, h: Wrench) -> Wrench:
     """Dual (co-adjoint) map keeping the power pairing f.v + tau.w invariant."""
-    rf = t.rotation.m @ h.f
-    rtau = t.rotation.m @ h.tau + _hat(t.translation) @ rf
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to Wrench's finiteness check
+        rf = t.rotation.m @ h.f
+        rtau = t.rotation.m @ h.tau + _hat(t.translation) @ rf
     return Wrench(rf, rtau)
 
 

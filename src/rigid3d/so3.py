@@ -141,20 +141,7 @@ def so3_log(r_mat: RotationMatrix) -> np.ndarray:
     (w, v) of matrix_to_quat as 2 atan2(|v|, w) v / |v|; at exactly pi its
     sign rule makes the first nonzero axis component positive.
     """
-    if not isinstance(r_mat, RotationMatrix):
-        r_mat = RotationMatrix(r_mat)
-    m = r_mat.m
-    cos_theta = max(-1.0, min(1.0, (np.trace(m) - 1.0) / 2.0))
-    theta = math.acos(cos_theta)
-    w = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]]) / 2.0
-
-    if theta < SMALL_ANGLE:
-        return w
-    if theta > NEAR_PI:
-        q = matrix_to_quat(r_mat)
-        s = math.hypot(q.x, q.y, q.z)
-        return (2.0 * math.atan2(s, q.w) / s) * np.array([q.x, q.y, q.z])
-    return (theta / (2.0 * math.sin(theta))) * (2.0 * w)
+    return np.array(_log(_as_rotation(r_mat).tolist()))
 
 
 def quat_to_matrix(q: UnitQuaternion) -> RotationMatrix:
@@ -174,23 +161,7 @@ def quat_to_matrix(q: UnitQuaternion) -> RotationMatrix:
 
 def matrix_to_quat(r_mat: RotationMatrix) -> UnitQuaternion:
     """Shepperd's method: branch on the largest of trace and diagonal entries."""
-    m = _as_rotation(r_mat)
-    t = np.trace(m)
-    choices = [t, m[0, 0], m[1, 1], m[2, 2]]
-    k = int(np.argmax(choices))
-    if k == 0:
-        s = math.sqrt(t + 1.0) * 2.0
-        q = (s / 4.0, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s)
-    elif k == 1:
-        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        q = ((m[2, 1] - m[1, 2]) / s, s / 4.0, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s)
-    elif k == 2:
-        s = math.sqrt(1.0 - m[0, 0] + m[1, 1] - m[2, 2]) * 2.0
-        q = ((m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, s / 4.0, (m[1, 2] + m[2, 1]) / s)
-    else:
-        s = math.sqrt(1.0 - m[0, 0] - m[1, 1] + m[2, 2]) * 2.0
-        q = ((m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, s / 4.0)
-    return UnitQuaternion(*q).canonical()
+    return _shepperd(_as_rotation(r_mat).tolist())
 
 
 def quat_compose(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
@@ -316,6 +287,43 @@ def _rodrigues(w: np.ndarray) -> tuple[RotationMatrix, float, float, np.ndarray,
     return _repair(np.eye(3) + a * k + b * k2), b, c, k, k2
 
 
+def _log(rows) -> list[float]:
+    """so3_log of a validated rotation as nested lists; the trace sums as np.trace does, (m00 + m11) + m22."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
+    theta = math.acos(max(-1.0, min(1.0, (m00 + m11 + m22 - 1.0) / 2.0)))
+    if theta > NEAR_PI:
+        q = _shepperd(rows)
+        s = math.hypot(q.x, q.y, q.z)
+        scale = 2.0 * math.atan2(s, q.w) / s
+        return [scale * q.x, scale * q.y, scale * q.z]
+    w = [(m21 - m12) / 2.0, (m02 - m20) / 2.0, (m10 - m01) / 2.0]
+    if theta < SMALL_ANGLE:
+        return w
+    scale = theta / (2.0 * math.sin(theta))
+    return [scale * (2.0 * c) for c in w]
+
+
+def _shepperd(rows) -> UnitQuaternion:
+    """matrix_to_quat of a validated rotation as nested lists; k is the first maximum, as np.argmax takes it."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
+    t = m00 + m11 + m22
+    choices = [t, m00, m11, m22]
+    k = choices.index(max(choices))
+    if k == 0:
+        s = math.sqrt(t + 1.0) * 2.0
+        q = (s / 4.0, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s)
+    elif k == 1:
+        s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
+        q = ((m21 - m12) / s, s / 4.0, (m01 + m10) / s, (m02 + m20) / s)
+    elif k == 2:
+        s = math.sqrt(1.0 - m00 + m11 - m22) * 2.0
+        q = ((m02 - m20) / s, (m01 + m10) / s, s / 4.0, (m12 + m21) / s)
+    else:
+        s = math.sqrt(1.0 - m00 - m11 + m22) * 2.0
+        q = ((m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, s / 4.0)
+    return UnitQuaternion(*q).canonical()
+
+
 def _as_rotation(r_mat) -> np.ndarray:
     """Accept a RotationMatrix or raw array; validate either way."""
     if isinstance(r_mat, RotationMatrix):
@@ -355,6 +363,7 @@ def _first_nonzero_negative(components) -> bool:
 # Stacked kernels over (n, 3, 3) rotation and (n, 3) vector stacks. The
 # solvers use them in place of per-sample loops over the scalar functions
 # above; each gives, bit for bit, what that loop gives (but see se3._inverse_stack).
+# _log_stack is that loop: one tolist() and the scalar _log on each element.
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -392,19 +401,5 @@ def _repair_stack(ms: np.ndarray) -> np.ndarray:
 
 
 def _log_stack(ms: np.ndarray) -> np.ndarray:
-    """so3_log of every element of a validated (n, 3, 3) stack, as (n, 3).
-
-    Angles and sines come from math.acos and math.sin element by element:
-    np.arccos and np.sin may use SIMD code that differs from so3_log in the
-    last bit. Elements above NEAR_PI go to so3_log itself, which reads
-    them from the canonical quaternion of matrix_to_quat.
-    """
-    cos_theta = np.clip((np.trace(ms, axis1=1, axis2=2) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.array([math.acos(c) for c in cos_theta])
-    w = np.stack([ms[:, 2, 1] - ms[:, 1, 2], ms[:, 0, 2] - ms[:, 2, 0], ms[:, 1, 0] - ms[:, 0, 1]], axis=1) / 2.0
-    mid = (theta >= SMALL_ANGLE) & (theta <= NEAR_PI)
-    scale = np.array([t / (2.0 * math.sin(t)) for t in theta[mid]])
-    w[mid] = scale.reshape(-1, 1) * (2.0 * w[mid])
-    for i in np.flatnonzero(theta > NEAR_PI):
-        w[i] = so3_log(ms[i])
-    return w
+    """so3_log of every element of a validated (n, 3, 3) stack, as (n, 3): _log mapped over the rows."""
+    return np.array([_log(rows) for rows in ms.tolist()]).reshape(-1, 3)

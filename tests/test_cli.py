@@ -60,6 +60,24 @@ def test_module_entry_point(name):
     assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
 
 
+def test_runtime_imports_only_numpy():
+    # NumPy is the one runtime dependency: scipy and the other test-only packages never load.
+    # The difference from the modules loaded at start leaves out what site preloads.
+    code = (
+        "import io, sys\n"
+        "before = set(sys.modules)\n"
+        "from rigid3d.cli import run_cli\n"
+        f"for argv in {[GOLDEN_CASES['handeye'], GOLDEN_CASES['register']]!r}:\n"
+        "    assert run_cli(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0\n"
+        "print(sorted({name.partition('.')[0] for name in set(sys.modules) - before} - sys.stdlib_module_names))\n"
+    )
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['numpy', 'rigid3d']\n"
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_byte_identical_on_rerun(name):
     _, first, _ = run(GOLDEN_CASES[name])
@@ -171,7 +189,7 @@ HUGE_TRANSLATION_POSES = (
     "2e200,1e200,-2e200,0.6,0,0,0.8\n-1e200,-2e200,1e200,0,1,0,0\n1e200,1e200,1e200,0,0,1,0\n"
 )
 
-# argv, the text of the file that {path} names (None: no file), exit code, the one stderr line
+# argv, the text (or bytes) of the file that {path} names (None: no file), exit code, the one stderr line
 INPUT_ERRORS = {
     "pose_field_count": (["pivot", "{path}"], "0,0,0,1,0,0\n", 2, "error: line 1: expected 7 fields, got 6"),
     "pose_non_numeric": (
@@ -255,6 +273,15 @@ INPUT_ERRORS = {
         ["compose", "0,0,0,1.0001,0,0,0"], None, 2,
         "error: quaternion norm 1.0001 deviates from 1 by more than 1e-6",
     ),
+    # a UTF-16 byte-order mark, and a Latin-1 byte in a point file
+    "pose_not_utf8": (
+        ["convert", "--input", "{path}", "--to", "quat"], b"\xff\xfe0,0,0,1,0,0,0\n", 2,
+        "error: line 0: cannot read {path}: not UTF-8 text",
+    ),
+    "point_not_utf8": (
+        ["register", "{path}", "{path}"], b"1,2,3\n4,5,6\n7,8,\xe9\n", 2,
+        "error: line 0: cannot read {path}: not UTF-8 text",
+    ),
 }
 
 
@@ -262,7 +289,9 @@ INPUT_ERRORS = {
 def test_input_error_surface(name, tmp_path):
     argv, text, exit_code, message = INPUT_ERRORS[name]
     path = tmp_path / "input.csv"
-    if text is not None:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
         path.write_text(text)
     code, out, err = run([a.format(path=path) for a in argv])
     assert code == exit_code

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rigid3d as r
+from rigid3d.errors import Rigid3dError
 from rigid3d.estimators import HandEyeCalibrator, NotFittedError, PivotCalibrator, RigidRegistration
 
 from conftest import random_transform
@@ -32,6 +33,12 @@ class TestRigidRegistration:
         with pytest.raises(NotFittedError):
             RigidRegistration().transform(rng.standard_normal((3, 3)))
 
+    def test_transform_overflow_is_rejected(self):
+        tet = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        est = RigidRegistration().fit(tet, tet @ r.so3_exp([0.3, -0.2, 0.5]).m.T + [1.0, 2.0, 3.0])
+        with pytest.raises(Rigid3dError, match="^transformed points contains non-finite values$"):
+            est.transform([[1.7e308] * 3])
+
 
 class TestPivotCalibrator:
     def test_fit(self, rng):
@@ -45,6 +52,13 @@ class TestPivotCalibrator:
         est = PivotCalibrator().fit(poses)
         tips = est.predict(poses)
         np.testing.assert_allclose(tips, np.tile(pivot, (6, 1)), atol=1e-9)
+
+    def test_predict_overflow_is_rejected(self, rng):
+        # a fit this large fails its RMS check, so the offset is set by hand
+        est = PivotCalibrator().fit(synthetic_pivot(rng)[2])
+        est.tip_offset_ = np.full(3, 1e306)
+        with pytest.raises(Rigid3dError, match="^predicted tips contains non-finite values$"):
+            est.predict([r.Transform(r.so3_exp([0.1, 0.2, 0.3]), [1.797e308] * 3)])
 
 
 class TestHandEyeCalibrator:

@@ -257,6 +257,16 @@ class TestAdjoint:
             right = r.se3_exp(r.adjoint_apply_twist(t, xi))
             np.testing.assert_allclose(r.to_matrix4(left), r.to_matrix4(right), atol=1e-9)
 
+    def test_adjoint_overflow_is_rejected(self):
+        t = r.Transform(r.so3_exp([0.1, 0.2, 0.3]), [1.7e308] * 3)
+        with pytest.raises(Rigid3dError, match="^adjoint contains non-finite values$"):
+            r.adjoint(t)
+
+    def test_apply_twist_overflow_is_rejected(self):
+        t = r.Transform(r.so3_exp([0.1, 0.2, 0.3]), [1.7e308] * 3)
+        with pytest.raises(Rigid3dError, match="^twist linear part contains non-finite values$"):
+            r.adjoint_apply_twist(t, r.Twist([0, 0, 0], [1, 1, 1]))
+
 
 class TestWrench:
     def test_identity(self, rng):
@@ -282,6 +292,11 @@ class TestWrench:
             p_before = float(h.f @ xi.v + h.tau @ xi.w)
             p_after = float(h2.f @ xi2.v + h2.tau @ xi2.w)
             assert abs(p_before - p_after) < 1e-9
+
+    def test_overflow_is_rejected(self):
+        t = r.Transform(r.so3_exp([0.1, 0.2, 0.3]), np.zeros(3))
+        with pytest.raises(Rigid3dError, match="^force contains non-finite values$"):
+            r.transform_wrench(t, r.Wrench([1.7e308] * 3, [0, 0, 0]))
 
 
 class TestHomogeneous:

@@ -134,6 +134,19 @@ class TestQuaternion:
         q = r.matrix_to_quat(r.RotationMatrix(np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]], dtype=float)))
         np.testing.assert_allclose([q.w, q.x, q.y, q.z], [s, 0, 0, s], atol=1e-15)
 
+    def test_matrix_to_quat_matches_scipy_on_every_branch(self):
+        rotation = pytest.importorskip("scipy.spatial.transform").Rotation  # test-only oracle
+        rng = np.random.default_rng(20261018)
+        axes = rng.standard_normal((20000, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        ms = np.array([r.so3_exp(a * t).m for a, t in zip(axes, rng.uniform(0.0, math.pi, 20000))])
+        # Shepperd's branch: the largest of trace, m00, m11 and m22
+        largest = np.argmax(np.stack([np.trace(ms, axis1=1, axis2=2), ms[:, 0, 0], ms[:, 1, 1], ms[:, 2, 2]]), axis=0)
+        assert np.bincount(largest, minlength=4).min() >= 1000
+        got = np.array([r.matrix_to_quat(m).components() for m in ms])
+        want = rotation.from_matrix(ms).as_quat(canonical=True, scalar_first=True)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
     def test_quat_matrix_roundtrip(self, rng):
         for _ in range(1000):
             rot = r.random_rotation(rng)

@@ -16,11 +16,11 @@ from .errors import InvalidHomogeneousRow, NotARotation
 from .so3 import (
     SERIES_ANGLE,
     RotationMatrix,
+    _defects,
     _hat,
     _repair,
     _repair_stack,
     _rodrigues,
-    orthonormalize,
     so3_log,
 )
 from .validation import check_matrix, freeze
@@ -170,13 +170,10 @@ def from_matrix4(m) -> Transform:
     if np.linalg.norm(m[3] - np.array([0.0, 0.0, 0.0, 1.0])) > 1e-9:
         raise InvalidHomogeneousRow("last row must be (0, 0, 0, 1)")
     block = m[:3, :3]
-    try:
-        rot = RotationMatrix(block)
-    except NotARotation:
-        if not (np.linalg.norm(block.T @ block - np.eye(3)) < 1e-4 and np.linalg.det(block) > 0.0):
-            raise NotARotation("rotation block deviates from SO(3) beyond the 1e-4 repair threshold") from None
-        rot = orthonormalize(block)
-    return Transform(rot, m[:3, 3])
+    drift2, det = _defects(*block.ravel().tolist())
+    if not (math.sqrt(drift2) < 1e-4 and det > 0.0):
+        raise NotARotation("rotation block deviates from SO(3) beyond the 1e-4 repair threshold")
+    return Transform(_repair(block), m[:3, 3])
 
 
 def _stack_transforms(transforms) -> tuple[np.ndarray, np.ndarray]:

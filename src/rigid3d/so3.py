@@ -43,10 +43,11 @@ class RotationMatrix:
 
     def __post_init__(self):
         m = check_matrix(self.m, (3, 3), "rotation matrix")
+        drift2, det = _defects(*m.ravel().tolist())
         # written so that a NaN drift or determinant (overflow) is rejected
-        if not np.linalg.norm(m.T @ m - np.eye(3)) <= ORTHO_TOL:
+        if not math.sqrt(drift2) <= ORTHO_TOL:
             raise NotARotation("matrix is not orthogonal within 1e-9")
-        if not abs(np.linalg.det(m) - 1.0) <= ORTHO_TOL:
+        if not abs(det - 1.0) <= ORTHO_TOL:
             raise NotARotation("matrix determinant is not +1 within 1e-9")
         object.__setattr__(self, "m", freeze(m))
 
@@ -123,7 +124,9 @@ def hat3(v) -> np.ndarray:
 def vee3(s) -> np.ndarray:
     """Inverse of hat3; input must be skew-symmetric within 1e-9."""
     s = check_matrix(s, (3, 3), "skew matrix")
-    if np.linalg.norm(s + s.T) >= 1e-9:
+    with np.errstate(over="ignore"):  # an overflowing s + s^T gives inf, which is rejected
+        asym = np.linalg.norm(s + s.T)
+    if asym >= 1e-9:
         raise NotSkewSymmetric("matrix is not skew-symmetric within 1e-9")
     return np.array([s[2, 1], s[0, 2], s[1, 0]])
 
@@ -227,8 +230,11 @@ def matrix_to_euler(
 
 
 def rotate(r_mat: RotationMatrix, v) -> np.ndarray:
-    """Apply the rotation to a 3-vector."""
-    return _as_rotation(r_mat) @ check_matrix(v, (3,), "vector")
+    """Apply the rotation to a 3-vector; a result that overflows raises Rigid3dError."""
+    m = _as_rotation(r_mat)
+    with np.errstate(over="ignore"):
+        out = m @ check_matrix(v, (3,), "vector")
+    return check_matrix(out, (3,), "rotated vector")
 
 
 def orthonormalize(m) -> RotationMatrix:
@@ -238,7 +244,9 @@ def orthonormalize(m) -> RotationMatrix:
     if sigma[-1] < 1e-9:
         raise DegenerateMatrix("matrix is singular: smallest singular value below 1e-9")
     r = _project(u, vt)
-    if np.linalg.norm(m - r) > 0.5:
+    with np.errstate(over="ignore"):  # an overflowing distance gives inf, which is rejected
+        dist = np.linalg.norm(m - r)
+    if dist > 0.5:
         raise DegenerateMatrix("matrix is too far from SO(3) to repair")
     return _repair(r)
 
@@ -333,10 +341,23 @@ def _as_rotation(r_mat) -> np.ndarray:
 
 def _repair(m: np.ndarray) -> RotationMatrix:
     """RotationMatrix of a rotation the library computed: re-projected onto SO(3) past ORTHO_TOL, then checked."""
-    if np.linalg.norm(m.T @ m - np.eye(3)) > ORTHO_TOL:
+    if math.sqrt(_defects(*m.ravel().tolist())[0]) > ORTHO_TOL:
         u, _, vt = np.linalg.svd(m)
         m = _project(u, vt)
     return RotationMatrix(m)
+
+
+def _defects(m00, m01, m02, m10, m11, m12, m20, m21, m22):
+    """(||R^T R - I||^2, det R) of R's nine elements as floats or equal-length arrays; + and * only, so both round alike."""
+    d00 = m00 * m00 + m10 * m10 + m20 * m20 - 1.0
+    d11 = m01 * m01 + m11 * m11 + m21 * m21 - 1.0
+    d22 = m02 * m02 + m12 * m12 + m22 * m22 - 1.0
+    d01 = m00 * m01 + m10 * m11 + m20 * m21
+    d02 = m00 * m02 + m10 * m12 + m20 * m22
+    d12 = m01 * m02 + m11 * m12 + m21 * m22
+    drift2 = d00 * d00 + d11 * d11 + d22 * d22 + 2.0 * (d01 * d01 + d02 * d02 + d12 * d12)
+    det = m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20) + m02 * (m10 * m21 - m11 * m20)
+    return drift2, det
 
 
 def _project(u: np.ndarray, vt: np.ndarray) -> np.ndarray:
@@ -363,6 +384,7 @@ def _first_nonzero_negative(components) -> bool:
 # Stacked kernels over (n, 3, 3) rotation and (n, 3) vector stacks. The
 # solvers use them in place of per-sample loops over the scalar functions
 # above; each gives, bit for bit, what that loop gives (but see se3._inverse_stack).
+# _repair_stack evaluates _defects on nine column views, as RotationMatrix and _repair do on nine floats.
 # _log_stack is that loop: one tolist() and the scalar _log on each element.
 
 
@@ -377,11 +399,6 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
         return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
-def _ortho_drift(ms: np.ndarray) -> np.ndarray:
-    """||R^T R - I|| of each element of an (n, 3, 3) stack, as RotationMatrix computes it."""
-    return _row_norms((np.swapaxes(ms, 1, 2) @ ms - np.eye(3)).reshape(-1, 9))
-
-
 def _repair_stack(ms: np.ndarray) -> np.ndarray:
     """_repair of every element of an (n, 3, 3) stack, its checks measured once over the stack.
 
@@ -389,10 +406,9 @@ def _repair_stack(ms: np.ndarray) -> np.ndarray:
     caller's array is never written: with nothing flagged it is returned
     itself, else a copy in its memory layout.
     """
-    with np.errstate(invalid="ignore"):  # non-finite elements are flagged below
-        drift = _ortho_drift(ms)
-        det_err = np.abs(np.linalg.det(ms) - 1.0)
-    bad = np.flatnonzero(~((drift <= ORTHO_TOL) & (det_err <= ORTHO_TOL)))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing and non-finite elements are flagged below
+        drift2, det = _defects(*ms.reshape(-1, 9).T)
+        bad = np.flatnonzero(~((np.sqrt(drift2) <= ORTHO_TOL) & (np.abs(det - 1.0) <= ORTHO_TOL)))
     if len(bad):
         ms = ms.copy(order="K")
         for i in bad:

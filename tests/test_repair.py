@@ -7,18 +7,21 @@ Every operation must still give an answer, and every rotation it returns
 must pass RotationMatrix again.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rigid3d as r
 from rigid3d.errors import NotARotation
-from rigid3d.so3 import ORTHO_TOL
+from rigid3d.so3 import ORTHO_TOL, _repair, _repair_stack
 
 from test_calibration import synthetic_handeye
 from test_kernels import max_diff
 
-# accepted by RotationMatrix (drift 9.99999968521584e-10); its transpose measures 1.0000000297961591e-09
+# accepted by RotationMatrix (drift 9.999999685215827e-10); its transpose measures 1.0000000589515158e-09
 NEAR = np.array(
     [
         [-0.9833692294654133, 0.10822892937829015, -0.14584737399581726],
@@ -58,6 +61,9 @@ def near_poses(rng, n):
 
 def test_pose_at_the_tolerance_has_an_inverse(rng):
     assert np.linalg.norm(NEAR.T @ NEAR - np.eye(3)) <= ORTHO_TOL < np.linalg.norm(NEAR @ NEAR.T - np.eye(3))
+    r.RotationMatrix(NEAR)
+    with pytest.raises(NotARotation, match="not orthogonal"):
+        r.RotationMatrix(NEAR.T)
     t = r.Transform(NEAR, [1.0, -2.0, 3.0])
     inv = r.inverse(t)
     motions = r.relative_motions([t, r.Transform.identity()])
@@ -97,5 +103,29 @@ def test_near_tolerance_relative_motions_match_scalar_chain(seed, n):
     # a motion whose T_i^-1 needs no repair keeps the transposed layout, and with it the scalar chain's bits
     for a, g, w in zip(poses, got, want):
         rt = a.rotation.m.T
-        if np.linalg.norm(rt.T @ rt - np.eye(3)) <= ORTHO_TOL:
+        if np.array_equal(_repair(rt).m, rt):
             assert max_diff([g], [w]) == 0.0
+
+
+def rejected(m) -> bool:
+    try:
+        r.RotationMatrix(m)
+    except NotARotation:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stack_check_at_the_tolerance_is_the_scalar_step(seed):
+    # near_tolerance matrices and their transposes straddle 1e-9 by rounding
+    rng = np.random.default_rng(seed)
+    ms = np.array([near_tolerance(r.random_rotation(rng).m, rng) for _ in range(100)])
+    stack = np.concatenate([ms, np.swapaxes(ms, 1, 2)])
+    want_flagged = [m for m in stack if rejected(m)]
+    assert 0 < len(want_flagged) < len(stack) // 2
+    flagged = []  # copies: _repair_stack writes each repaired element back into the row it passed
+    with mock.patch("rigid3d.so3._repair", lambda m: flagged.append(m.copy()) or _repair(m)):
+        got = _repair_stack(stack)
+    assert len(flagged) == len(want_flagged)
+    assert all(np.array_equal(f, w) for f, w in zip(flagged, want_flagged))
+    assert got.tobytes() == np.array([_repair(m).m for m in stack]).tobytes()

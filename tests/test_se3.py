@@ -321,6 +321,13 @@ class TestHomogeneous:
         repaired = r.from_matrix4(m)
         assert np.linalg.norm(repaired.rotation.m - t.rotation.m) < 1e-4
 
+    def test_repair_is_orthonormalize(self, rng):
+        for _ in range(50):
+            m = r.to_matrix4(random_transform(rng))
+            m[:3, :3] += 1e-6 * rng.standard_normal((3, 3))
+            assert drift(m[:3, :3]) > ORTHO_TOL
+            assert r.from_matrix4(m).rotation.m.tobytes() == r.orthonormalize(m[:3, :3]).m.tobytes()
+
     def test_rejects_bad_last_row(self):
         m = np.eye(4)
         m[3, 0] = 0.1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,20 @@ from rigid3d.errors import (
     NotARotation,
     NotSkewSymmetric,
     NotUnitQuaternion,
+    Rigid3dError,
     UnsupportedConvention,
 )
 from rigid3d.so3 import NEAR_PI
 
 from conftest import random_rotvec
+
+
+def raises_without_warning(error, call, match=None):
+    """call() raises error, and no warning (an overflow's RuntimeWarning) comes before it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            call()
 
 
 def matrix_exp_series(k, terms=30):
@@ -53,6 +63,11 @@ class TestHatVee:
     def test_vee_rejects_non_skew(self):
         with pytest.raises(NotSkewSymmetric):
             r.vee3(np.eye(3))
+
+    def test_vee_rejects_overflowing_asymmetry(self):
+        s = np.zeros((3, 3))
+        s[0, 0] = 1e308  # s + s^T overflows
+        raises_without_warning(NotSkewSymmetric, lambda: r.vee3(s))
 
 
 class TestExpLog:
@@ -347,6 +362,31 @@ class TestRotateOrthonormalize:
     def test_orthonormalize_rejects_far_input(self, rng):
         with pytest.raises(DegenerateMatrix):
             r.orthonormalize(5.0 * r.random_rotation(rng).m)
+
+    def test_orthonormalize_rejects_overflowing_distance(self):
+        raises_without_warning(DegenerateMatrix, lambda: r.orthonormalize(1e300 * np.eye(3)), "too far")
+
+    def test_rotate_overflow_is_rejected(self, rng):
+        rot = r.random_rotation(rng)
+        raises_without_warning(Rigid3dError, lambda: r.rotate(rot, [1.7e308] * 3), "^rotated vector contains non-finite")
+
+
+# 1e200 squared overflows in the membership test: each entry point rejects it as not a rotation
+HUGE = 1e200 * np.eye(3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: r.RotationMatrix(HUGE),
+        lambda: r.Transform(HUGE, np.zeros(3)),
+        lambda: r.so3_log(HUGE),
+        lambda: r.from_matrix4(np.diag([1e200, 1e200, 1e200, 1.0])),
+    ],
+    ids=["RotationMatrix", "Transform", "so3_log", "from_matrix4"],
+)
+def test_overflowing_matrix_is_not_a_rotation(call):
+    raises_without_warning(NotARotation, call)
 
 
 class TestGeodesic:

@@ -20,7 +20,7 @@ from .errors import (
     TooFewPoses,
 )
 from .se3 import Transform, _stack_transforms
-from .so3 import _log_stack, _project, _repair_stack, _row_norms, orthonormalize
+from .so3 import _apply_stack, _log_stack, _mul_stack, _project, _repair_stack, _row_norms, orthonormalize
 from .validation import check_matrix
 
 SINGULAR_RATIO = 1e-9
@@ -48,7 +48,7 @@ class HandEyeResult:
     x: Transform
     rotation_rms: float
     translation_rms: float
-    per_motion_translation_residuals: np.ndarray  # ||(R_Ai - I) t_X - (R_X t_Bi - t_Ai)||
+    per_motion_translation_residuals: np.ndarray  # ||R_Ai t_X - t_X - (R_X t_Bi - t_Ai)||
 
 
 def register_point_sets(p, q) -> RegistrationResult:
@@ -103,7 +103,7 @@ def pivot_calibrate(samples) -> PivotResult:
     if sv[0] ** 2 > MAX_CONDITION * sv[-1] ** 2:
         raise DegenerateMotion("insufficient rotational diversity: tip and pivot are not separable")
     tip, pivot = sol[:3], sol[3:]
-    errs = _row_norms(rs @ tip + ts - pivot)
+    errs = _row_norms(_apply_stack(rs, tip) + ts - pivot)
     return PivotResult(tip, pivot, _rms(errs), errs)
 
 
@@ -112,8 +112,8 @@ def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
 
     Separable two-stage least squares: the rotation from the log-map
     correlation matrix M = sum beta_i alpha_i^T with R = (M^T M)^{-1/2} M^T,
-    then the translation from the stacked linear system
-    (R_Ai - I) t = R t_Bi - t_Ai.
+    which is u vt for the SVD M^T = u diag(s) vt, then the translation from
+    the stacked linear system (R_Ai - I) t = R t_Bi - t_Ai.
     """
     if len(a_list) != len(b_list):
         raise TooFewMotions("motion lists must have equal length")
@@ -129,24 +129,21 @@ def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
 
     # summed along axis 0 in order, as a running sum of outer products would be
     m = (betas[:, :, None] * alphas[:, None, :]).sum(axis=0)
-    mtm = m.T @ m
-    evals, evecs = np.linalg.eigh(mtm)
-    if evals[0] < 1e-12 * max(evals[-1], 1.0):
+    u, s, vt = np.linalg.svd(m.T)  # the eigenvalues of M^T M are s^2
+    if s[2] ** 2 < 1e-12 * max(s[0] ** 2, 1.0):
         raise DegenerateMotion("rotation axes are not diverse enough to determine X")
-    inv_sqrt = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
-    rot_x = orthonormalize(inv_sqrt @ m.T)
+    rot_x = orthonormalize(u @ vt)
     r_x = rot_x.m
 
-    c = ra - np.eye(3)
-    d = (r_x @ tb[..., None])[..., 0] - ta
-    t_x, *_ = np.linalg.lstsq(c.reshape(3 * n, 3), d.reshape(3 * n), rcond=None)
+    d = _apply_stack(r_x, tb) - ta
+    t_x, *_ = np.linalg.lstsq((ra - np.eye(3)).reshape(3 * n, 3), d.reshape(3 * n), rcond=None)
 
     # geodesic distance between A_i R_X and R_X B_i, each product a rotation as compose would give it
-    left = _repair_stack(ra @ r_x)
-    right = _repair_stack(r_x @ rb)
-    rel = _repair_stack(np.swapaxes(left, 1, 2) @ right)
+    left = _repair_stack(_mul_stack(ra, r_x))
+    right = _repair_stack(_mul_stack(r_x, rb))
+    rel = _repair_stack(_mul_stack(np.swapaxes(left, 1, 2), right))
     rot_errs = _row_norms(_log_stack(rel))
-    trans_errs = _row_norms(c @ t_x - d)
+    trans_errs = _row_norms(_apply_stack(ra, t_x) - t_x - d)
     return HandEyeResult(
         Transform(rot_x, t_x),
         _rms(rot_errs),

@@ -13,6 +13,7 @@ import numpy as np
 from .calibration import hand_eye_calibrate, pivot_calibrate, register_point_sets
 from .errors import Rigid3dError
 from .se3 import _build_transforms, _compose_stack, _stack_transforms, inverse
+from .so3 import _apply_stack
 from .validation import check_matrix
 
 
@@ -92,7 +93,7 @@ class PivotCalibrator(BaseEstimator):
         self._fitted("tip_offset_")
         rs, ts = _stack_transforms(X)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = rs @ self.tip_offset_ + ts
+            out = _apply_stack(rs, self.tip_offset_) + ts
         return check_matrix(out, (None, 3), "predicted tips")
 
 

@@ -14,13 +14,19 @@ import numpy as np
 
 from .errors import InvalidHomogeneousRow, NotARotation
 from .so3 import (
+    _EYE,
     SERIES_ANGLE,
     RotationMatrix,
+    _apply,
+    _apply_stack,
     _defects,
     _hat,
+    _mul,
+    _mul_stack,
     _repair,
     _repair_stack,
     _rodrigues,
+    _sq,
     so3_log,
 )
 from .validation import check_matrix, freeze
@@ -77,33 +83,31 @@ class Wrench:
 
 def compose(a: Transform, b: Transform) -> Transform:
     """Group product: rotation R_a R_b, translation R_a t_b + t_a."""
-    with np.errstate(over="ignore"):  # an overflow is left to Transform's finiteness check
-        t = a.rotation.m @ b.translation + a.translation
-    return Transform(_repair(a.rotation.m @ b.rotation.m), t)
+    ra = a.rotation.m.ravel().tolist()
+    t = [x + y for x, y in zip(_apply(ra, b.translation.tolist()), a.translation.tolist())]
+    return Transform(_repair(np.array(_mul(ra, b.rotation.m.ravel().tolist())).reshape(3, 3)), t)
 
 
 def inverse(t: Transform) -> Transform:
     rot = _repair(t.rotation.m.T)
-    with np.errstate(over="ignore"):  # an overflow is left to Transform's finiteness check
-        return Transform(rot, -(rot.m @ t.translation))
+    return Transform(rot, [-x for x in _apply(rot.m.ravel().tolist(), t.translation.tolist())])
 
 
 def transform_point(t: Transform, p) -> np.ndarray:
     """R p + t; a result that overflows raises Rigid3dError."""
-    with np.errstate(over="ignore"):
-        out = t.rotation.m @ check_matrix(p, (3,), "point") + t.translation
-    return check_matrix(out, (3,), "transformed point")
+    rp = _apply(t.rotation.m.ravel().tolist(), check_matrix(p, (3,), "point").tolist())
+    return check_matrix([x + y for x, y in zip(rp, t.translation.tolist())], (3,), "transformed point")
 
 
 def transform_direction(t: Transform, v) -> np.ndarray:
     """R v; a result that overflows raises Rigid3dError."""
-    with np.errstate(over="ignore"):
-        out = t.rotation.m @ check_matrix(v, (3,), "direction")
-    return check_matrix(out, (3,), "transformed direction")
+    rv = _apply(t.rotation.m.ravel().tolist(), check_matrix(v, (3,), "direction").tolist())
+    return check_matrix(rv, (3,), "transformed direction")
 
 
-def _v_inverse(w: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(w)
+def _v_inverse(w: list[float]) -> list[float]:
+    """The nine elements of V(w)^-1 = I - K/2 + c K^2."""
+    theta = math.sqrt(_sq(*w))
     k = _hat(w)
     if theta < SERIES_ANGLE:
         c = 1.0 / 12.0 + theta**2 / 720.0 + theta**4 / 30240.0
@@ -111,23 +115,21 @@ def _v_inverse(w: np.ndarray) -> np.ndarray:
         # 1/theta^2 - (1 + cos)/(2 theta sin), written via cot(theta/2)
         half = theta / 2.0
         c = (1.0 - half * math.cos(half) / math.sin(half)) / theta**2
-    return np.eye(3) - 0.5 * k + c * (k @ k)
+    return [e - 0.5 * x + c * x2 for e, x, x2 in zip(_EYE, k, _mul(k, k))]
 
 
 def se3_exp(xi: Twist) -> Transform:
     """Exponential map: exp(hat(w)) and V(w) v from the one Rodrigues evaluation so3_exp also uses (so3._rodrigues)."""
     if not isinstance(xi, Twist):
         xi = Twist.from_array(xi)
-    rot, b, c, k, k2 = _rodrigues(xi.w)
-    with np.errstate(over="ignore"):  # an overflow is left to Transform's finiteness check
-        return Transform(rot, (np.eye(3) + b * k + c * k2) @ xi.v)
+    rot, v = _rodrigues(xi.w)
+    return Transform(rot, _apply(v, xi.v.tolist()))
 
 
 def se3_log(t: Transform) -> Twist:
     """Logarithm map; inverse of se3_exp for rotation angle below pi."""
     w = so3_log(t.rotation)
-    with np.errstate(over="ignore"):  # an overflow is left to Twist's finiteness check
-        return Twist(_v_inverse(w) @ t.translation, w)
+    return Twist(_apply(_v_inverse(w.tolist()), t.translation.tolist()), w)
 
 
 def adjoint(t: Transform) -> np.ndarray:
@@ -135,26 +137,29 @@ def adjoint(t: Transform) -> np.ndarray:
     r = t.rotation.m
     out = np.zeros((6, 6))
     out[:3, :3] = r
-    with np.errstate(over="ignore", invalid="ignore"):
-        out[:3, 3:] = _hat(t.translation) @ r
+    out[:3, 3:] = np.array(_mul(_hat(t.translation.tolist()), r.ravel().tolist())).reshape(3, 3)
     out[3:, 3:] = r
     return check_matrix(out, (6, 6), "adjoint")
 
 
 def adjoint_apply_twist(t: Transform, xi: Twist) -> Twist:
     """Change the frame of a twist: w' = R w, v' = R v + t x (R w)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to Twist's finiteness check
-        rw = t.rotation.m @ xi.w
-        rv = t.rotation.m @ xi.v + _hat(t.translation) @ rw
+    rw, rv = _act(t, xi.w, xi.v)
     return Twist(rv, rw)
 
 
 def transform_wrench(t: Transform, h: Wrench) -> Wrench:
     """Dual (co-adjoint) map keeping the power pairing f.v + tau.w invariant."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to Wrench's finiteness check
-        rf = t.rotation.m @ h.f
-        rtau = t.rotation.m @ h.tau + _hat(t.translation) @ rf
+    rf, rtau = _act(t, h.f, h.tau)
     return Wrench(rf, rtau)
+
+
+def _act(t: Transform, a: np.ndarray, b: np.ndarray) -> tuple[list[float], list[float]]:
+    """(R a, R b + t x (R a)): the rotated angular part or force, and the moved linear part or moment."""
+    r = t.rotation.m.ravel().tolist()
+    ra = _apply(r, a.tolist())
+    cross = _apply(_hat(t.translation.tolist()), ra)
+    return ra, [x + y for x, y in zip(_apply(r, b.tolist()), cross)]
 
 
 def to_matrix4(t: Transform) -> np.ndarray:
@@ -185,15 +190,9 @@ def _stack_transforms(transforms) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _inverse_stack(rs, ts) -> tuple[np.ndarray, np.ndarray]:
-    """inverse over stacks, its transposed rotations put through _repair_stack as one stack.
-
-    The rotations are returned as transposed views, not copies: inverse()
-    and compose() multiply with that layout, and BLAS may round a
-    row-major copy differently (as it may where an element is re-projected).
-    """
+    """inverse over stacks, its transposed rotations put through _repair_stack as one stack."""
     rt = _repair_stack(np.swapaxes(rs, 1, 2))
-    with np.errstate(over="ignore"):  # an overflow is left to the caller's finiteness check
-        return rt, -(rt @ ts[..., None])[..., 0]
+    return rt, -_apply_stack(rt, ts)
 
 
 def _compose_stack(ra, ta, rb, tb) -> tuple[np.ndarray, np.ndarray]:
@@ -204,8 +203,8 @@ def _compose_stack(ra, ta, rb, tb) -> tuple[np.ndarray, np.ndarray]:
     as is the NaN of an infinite ta (from _inverse_stack) plus an opposite overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        t = (ra @ tb[..., None])[..., 0] + ta
-    return _repair_stack(ra @ rb), t
+        t = _apply_stack(ra, tb) + ta
+    return _repair_stack(_mul_stack(ra, rb)), t
 
 
 def _build_transforms(rs: np.ndarray, ts: np.ndarray) -> list[Transform]:

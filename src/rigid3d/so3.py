@@ -118,7 +118,7 @@ class EulerAngles:
 
 def hat3(v) -> np.ndarray:
     """Cross-product matrix: hat3(v) @ u == cross(v, u)."""
-    return _hat(check_matrix(v, (3,), "vector"))
+    return np.array(_hat(check_matrix(v, (3,), "vector").tolist())).reshape(3, 3)
 
 
 def vee3(s) -> np.ndarray:
@@ -181,25 +181,25 @@ def quat_inverse(q: UnitQuaternion) -> UnitQuaternion:
     return UnitQuaternion(q.w, -q.x, -q.y, -q.z).canonical()
 
 
-def _rx(a: float) -> np.ndarray:
+def _rx(a: float) -> tuple:
     c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return (1.0, 0.0, 0.0, 0.0, c, -s, 0.0, s, c)
 
 
-def _ry(a: float) -> np.ndarray:
+def _ry(a: float) -> tuple:
     c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    return (c, 0.0, s, 0.0, 1.0, 0.0, -s, 0.0, c)
 
 
-def _rz(a: float) -> np.ndarray:
+def _rz(a: float) -> tuple:
     c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return (c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0)
 
 
 def euler_to_matrix(e: EulerAngles) -> RotationMatrix:
     """Rz Ry Rx: both conventions store the angles about x, y and z, in that order."""
-    ax, ay, az = e.angles
-    return _repair(_rz(az) @ _ry(ay) @ _rx(ax))
+    ax, ay, az = e.angles.tolist()
+    return _repair(np.array(_mul(_mul(_rz(az), _ry(ay)), _rx(ax))).reshape(3, 3))
 
 
 def matrix_to_euler(
@@ -231,10 +231,8 @@ def matrix_to_euler(
 
 def rotate(r_mat: RotationMatrix, v) -> np.ndarray:
     """Apply the rotation to a 3-vector; a result that overflows raises Rigid3dError."""
-    m = _as_rotation(r_mat)
-    with np.errstate(over="ignore"):
-        out = m @ check_matrix(v, (3,), "vector")
-    return check_matrix(out, (3,), "rotated vector")
+    m = _as_rotation(r_mat).ravel().tolist()
+    return check_matrix(_apply(m, check_matrix(v, (3,), "vector").tolist()), (3,), "rotated vector")
 
 
 def orthonormalize(m) -> RotationMatrix:
@@ -257,7 +255,8 @@ def geodesic_distance(a: RotationMatrix, b: RotationMatrix) -> float:
     Computed as the norm of the log map, which stays accurate near zero
     where arccos of the trace loses half the available precision.
     """
-    return float(np.linalg.norm(so3_log(_repair(_as_rotation(a).T @ _as_rotation(b)))))
+    rel = _mul(_as_rotation(a).T.ravel().tolist(), _as_rotation(b).ravel().tolist())
+    return math.sqrt(_sq(*so3_log(_repair(np.array(rel).reshape(3, 3))).tolist()))
 
 
 def random_rotation(rng: np.random.Generator) -> RotationMatrix:
@@ -269,30 +268,32 @@ def random_rotation(rng: np.random.Generator) -> RotationMatrix:
     return _repair(q)
 
 
-def _hat(v: np.ndarray) -> np.ndarray:
-    """hat3 of an already validated 3-vector."""
+def _hat(v) -> tuple:
+    """hat3 of an already validated 3-vector, as its nine elements in row-major order."""
     x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return (0.0, -z, y, z, 0.0, -x, -y, x, 0.0)
 
 
-def _rodrigues(w: np.ndarray) -> tuple[RotationMatrix, float, float, np.ndarray, np.ndarray]:
-    """exp(hat(w)) = I + a K + b K^2 of a validated w, and the b, c, K, K^2 of V(w) = I + b K + c K^2.
+def _rodrigues(w: np.ndarray) -> tuple[RotationMatrix, list[float]]:
+    """exp(hat(w)) = I + a K + b K^2 of a validated w, and the nine elements of V(w) = I + b K + c K^2.
 
     a, b, c = sin(t)/t, (1 - cos(t))/t^2, (t - sin(t))/t^3, from their Taylor series
     below SERIES_ANGLE, where 1 - cos(t) cancels and V v would lose eps/t.
     A component beyond EXP_MAX_COMPONENT raises Rigid3dError.
     """
-    if max(map(abs, w.tolist())) > EXP_MAX_COMPONENT:
+    w = w.tolist()
+    if max(map(abs, w)) > EXP_MAX_COMPONENT:
         raise Rigid3dError(f"rotation vector component beyond {EXP_MAX_COMPONENT:g} in magnitude")
-    theta = np.linalg.norm(w)
+    theta = math.sqrt(_sq(*w))
     k = _hat(w)
     if theta < SERIES_ANGLE:
         a, b, c = 1.0 - theta**2 / 6.0, 0.5 - theta**2 / 24.0, 1.0 / 6.0 - theta**2 / 120.0
     else:
         sin = math.sin(theta)
         a, b, c = sin / theta, (1.0 - math.cos(theta)) / theta**2, (theta - sin) / theta**3
-    k2 = k @ k
-    return _repair(np.eye(3) + a * k + b * k2), b, c, k, k2
+    k2 = _mul(k, k)
+    rot = _repair(np.array([e + a * x + b * x2 for e, x, x2 in zip(_EYE, k, k2)]).reshape(3, 3))
+    return rot, [e + b * x + c * x2 for e, x, x2 in zip(_EYE, k, k2)]
 
 
 def _log(rows) -> list[float]:
@@ -360,6 +361,33 @@ def _defects(m00, m01, m02, m10, m11, m12, m20, m21, m22):
     return drift2, det
 
 
+_EYE = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+
+
+def _apply(a, v) -> list:
+    """a v, of a 3x3 matrix's nine row-major elements and a 3-vector's three.
+
+    The elements are floats or equal-length arrays; + and * only, each sum
+    taken left to right, so floats and arrays round alike on every CPU. A
+    Python float overflows to inf or nan without a warning, which the
+    value types' finiteness checks then reject.
+    """
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
+    x, y, z = v
+    return [a00 * x + a01 * y + a02 * z, a10 * x + a11 * y + a12 * z, a20 * x + a21 * y + a22 * z]
+
+
+def _mul(a, b) -> list:
+    """Nine row-major elements of a b, of two 3x3 matrices as _apply takes them: _apply on each column of b."""
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = _apply(a, b[0::3]), _apply(a, b[1::3]), _apply(a, b[2::3])
+    return [x0, x1, x2, y0, y1, y2, z0, z1, z2]
+
+
+def _sq(x, y, z):
+    """Squared Euclidean norm of a 3-vector, its elements as _apply takes them."""
+    return x * x + y * y + z * z
+
+
 def _project(u: np.ndarray, vt: np.ndarray) -> np.ndarray:
     """u diag(1, 1, det(u vt)) vt: the rotation nearest to u S vt, with any reflection removed."""
     return u @ np.diag([1.0, 1.0, np.linalg.det(u @ vt)]) @ vt
@@ -383,20 +411,28 @@ def _first_nonzero_negative(components) -> bool:
 
 # Stacked kernels over (n, 3, 3) rotation and (n, 3) vector stacks. The
 # solvers use them in place of per-sample loops over the scalar functions
-# above; each gives, bit for bit, what that loop gives (but see se3._inverse_stack).
-# _repair_stack evaluates _defects on nine column views, as RotationMatrix and _repair do on nine floats.
+# above; each gives, bit for bit, what that loop gives. _mul_stack,
+# _apply_stack, _row_norms and _repair_stack evaluate _mul, _apply, _sq and
+# _defects on column views, as the scalar functions do on floats.
 # _log_stack is that loop: one tolist() and the scalar _log on each element.
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (n, k) array.
+def _mul_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_mul over (n, 3, 3) stacks, either of which may be a single (3, 3), as an (n, 3, 3) stack."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to the caller's check
+        return np.stack(_mul(a.reshape(-1, 9).T, b.reshape(-1, 9).T), axis=-1).reshape(-1, 3, 3)
 
-    A row-by-row dot product, the sum np.linalg.norm takes of one vector:
-    np.linalg.norm(x, axis=1) sums in another order and can differ in the
-    last bit.
-    """
+
+def _apply_stack(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """_apply over an (n, 3, 3) and an (n, 3) stack, either of which may be a single element, as (n, 3)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to the caller's check
+        return np.stack(_apply(a.reshape(-1, 9).T, v.reshape(-1, 3).T), axis=-1)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (n, 3) array, _sq on its columns."""
     with np.errstate(over="ignore"):  # an overflowing row gives inf, left to the caller's finiteness check
-        return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+        return np.sqrt(_sq(*x.T))
 
 
 def _repair_stack(ms: np.ndarray) -> np.ndarray:
@@ -404,13 +440,13 @@ def _repair_stack(ms: np.ndarray) -> np.ndarray:
 
     The flagged elements go through _repair, the first bad one first. The
     caller's array is never written: with nothing flagged it is returned
-    itself, else a copy in its memory layout.
+    itself, else a copy.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing and non-finite elements are flagged below
         drift2, det = _defects(*ms.reshape(-1, 9).T)
         bad = np.flatnonzero(~((np.sqrt(drift2) <= ORTHO_TOL) & (np.abs(det - 1.0) <= ORTHO_TOL)))
     if len(bad):
-        ms = ms.copy(order="K")
+        ms = ms.copy()
         for i in bad:
             ms[i] = _repair(ms[i]).m
     return ms

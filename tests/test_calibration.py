@@ -233,6 +233,25 @@ class TestHandEye:
         with pytest.raises(DegenerateMotion, match="not diverse enough"):
             r.hand_eye_calibrate(a_list, b_list)
 
+    def test_near_coplanar_axes_give_the_exact_rotation(self):
+        # Noise-free motions about (cos i, sin i, eps z_i), eps = 10^U(-4, -2.5): M's smallest singular
+        # value is of order eps^2, so the sets straddle the rejection test. Each accepted X is exact.
+        rng = np.random.default_rng(2024)
+        accepted = 0
+        for _ in range(200):
+            x0 = r.Transform(r.random_rotation(rng), rng.uniform(-100, 100, 3))
+            eps = 10.0 ** rng.uniform(-4, -2.5)
+            axes = [[math.cos(i), math.sin(i), eps * rng.standard_normal()] for i in range(8)]
+            b_list = [r.Transform(r.so3_exp(w), rng.uniform(-100, 100, 3)) for w in axes]
+            a_list = [r.compose(r.compose(x0, b), r.inverse(x0)) for b in b_list]
+            try:
+                res = r.hand_eye_calibrate(a_list, b_list)
+            except DegenerateMotion:
+                continue
+            accepted += 1
+            assert r.geodesic_distance(res.x.rotation, x0.rotation) <= 1e-12
+        assert 0 < accepted < 200
+
     def test_parallel_axes_rejected_where_mtm_test_passes(self):
         # Inconsistent pairs: every A-axis lies 0.99e-6 rad from the first (just inside
         # PARALLEL_AXIS_TOL), the B-axes are random with the same angles. For this seed

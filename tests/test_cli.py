@@ -3,9 +3,11 @@ import json
 import math
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from rigid3d.cli import run_cli
@@ -334,3 +336,54 @@ def test_inline_compose_full_precision():
     code, out, _ = run(["compose", SINGLE_POSE, SINGLE_POSE])
     assert code == 0
     assert out == (GOLDEN / "compose.json").read_text()
+
+
+# Each OpenBLAS core this CPU can run, as (OPENBLAS_CORETYPE, the /proc/cpuinfo flags it needs, more environment).
+# The last runs NumPy's own loops without their AVX-512 versions.
+OPENBLAS_CHILDREN = {
+    "prescott": ("Prescott", (), {}),
+    "sandybridge": ("Sandybridge", ("avx",), {}),
+    "haswell": ("Haswell", ("avx2", "fma"), {}),
+    "skylakex": ("SkylakeX", ("avx512f",), {}),
+    "skylakex_numpy_x86_v3": ("SkylakeX", ("avx512f",), {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}),
+}
+# the subcommands whose output depends on no LAPACK routine
+KERNEL_FREE = [n for n in sorted(GOLDEN_CASES) if n.startswith("convert_") or n in ("compose", "exp", "log")]
+
+
+def _cpu_flags() -> set:
+    with open("/proc/cpuinfo", encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("flags"):
+                return set(line.partition(":")[2].split())
+    return set()
+
+
+@pytest.mark.parametrize("child", sorted(OPENBLAS_CHILDREN))
+def test_same_bytes_on_every_openblas_kernel(child):
+    # the products run in plain + and *, so no BLAS kernel (and no NumPy SIMD loop) can move a digit
+    coretype, needs, extra_env = OPENBLAS_CHILDREN[child]
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"OpenBLAS core types are x86-64 kernels; this machine is {platform.machine()}")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas:
+        pytest.skip(f"NumPy is linked to {blas}, not OpenBLAS")
+    if not os.path.exists("/proc/cpuinfo"):
+        pytest.skip("no /proc/cpuinfo to read the CPU flags from")
+    missing = sorted(set(needs) - _cpu_flags())
+    if missing:
+        pytest.skip(f"{coretype} needs CPU flags {', '.join(missing)}")
+    argvs = [GOLDEN_CASES[n] for n in KERNEL_FREE] + [["compose", SINGLE_POSE, SINGLE_POSE]]
+    code = (
+        "import io, sys\n"
+        "from rigid3d.cli import run_cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert run_cli(argv, stdout=sys.stdout, stderr=io.StringIO()) == 0\n"
+    )
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update(OPENBLAS_CORETYPE=coretype, **extra_env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60, text=True)
+    assert proc.returncode == 0, proc.stderr
+    want = "".join((GOLDEN / f"{n}.json").read_text() for n in [*KERNEL_FREE, "compose"])
+    assert proc.stdout == want

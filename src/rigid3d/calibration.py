@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     DegenerateGeometry,
+    DegenerateMatrix,
     DegenerateMotion,
     Rigid3dError,
     TooFewMotions,
@@ -20,12 +21,13 @@ from .errors import (
     TooFewPoses,
 )
 from .se3 import Transform, _stack_transforms
-from .so3 import _apply_stack, _log_stack, _mul_stack, _project, _repair_stack, _row_norms, orthonormalize
+from .so3 import _apply_stack, _log_stack, _mul_stack, _nearest_rotation, _repair, _repair_stack, _row_norms
 from .validation import check_matrix
 
 SINGULAR_RATIO = 1e-9
 MAX_CONDITION = 1e8
 PARALLEL_AXIS_TOL = 1e-6
+MTM_RATIO = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,10 +72,10 @@ def register_point_sets(p, q) -> RegistrationResult:
         h = (p - p_bar).T @ (q - q_bar)
     if not np.all(np.isfinite(h)):
         raise Rigid3dError("cross-covariance of the points overflows double precision")
-    u, sigma, vt = np.linalg.svd(h)
+    r, sigma, _ = _nearest_rotation(h)
     if sigma[1] < SINGULAR_RATIO * sigma[0]:  # sorted, so sigma[2] is below the ratio too
         raise DegenerateGeometry("points are collinear: rotation about the line is unconstrained")
-    rot = orthonormalize(_project(vt.T, u.T))
+    rot = _repair(r.T)  # for H = U S V^T this is Kabsch's V diag(1, 1, d) U^T
     t = q_bar - rot.m @ p_bar
     transform = Transform(rot, t)
     with np.errstate(over="ignore"):  # an overflowing residual is left to _rms
@@ -112,7 +114,7 @@ def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
 
     Separable two-stage least squares: the rotation from the log-map
     correlation matrix M = sum beta_i alpha_i^T with R = (M^T M)^{-1/2} M^T,
-    which is u vt for the SVD M^T = u diag(s) vt, then the translation from
+    the polar factor u vt of the SVD M^T = u diag(s) vt, then the translation from
     the stacked linear system (R_Ai - I) t = R t_Bi - t_Ai.
     """
     if len(a_list) != len(b_list):
@@ -129,10 +131,12 @@ def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
 
     # summed along axis 0 in order, as a running sum of outer products would be
     m = (betas[:, :, None] * alphas[:, None, :]).sum(axis=0)
-    u, s, vt = np.linalg.svd(m.T)  # the eigenvalues of M^T M are s^2
-    if s[2] ** 2 < 1e-12 * max(s[0] ** 2, 1.0):
+    r, s, sign = _nearest_rotation(m.T)  # the eigenvalues of M^T M are s^2
+    if s[2] ** 2 < MTM_RATIO * max(s[0] ** 2, 1.0):
         raise DegenerateMotion("rotation axes are not diverse enough to determine X")
-    rot_x = orthonormalize(u @ vt)
+    if sign < 0:  # r is then the nearest rotation to M^T, not its polar factor
+        raise DegenerateMatrix("the polar factor of M is a reflection: no rotation X solves the motion pairs")
+    rot_x = _repair(r)
     r_x = rot_x.m
 
     d = _apply_stack(r_x, tb) - ta

@@ -85,7 +85,7 @@ class UnitQuaternion:
     def canonical(self) -> "UnitQuaternion":
         """Flip sign so w >= 0; at w == 0 the first nonzero of (x, y, z) is positive."""
         w, x, y, z = self.w, self.x, self.y, self.z
-        if w < 0.0 or (w == 0.0 and _first_nonzero_negative((x, y, z))):
+        if _first_nonzero_negative((w, x, y, z)):
             return UnitQuaternion(-w, -x, -y, -z)
         return self
 
@@ -236,12 +236,11 @@ def rotate(r_mat: RotationMatrix, v) -> np.ndarray:
 
 
 def orthonormalize(m) -> RotationMatrix:
-    """Nearest rotation in Frobenius norm via SVD; idempotent."""
+    """Nearest rotation in Frobenius norm, the polar factor of m; idempotent."""
     m = check_matrix(m, (3, 3), "matrix")
-    u, sigma, vt = np.linalg.svd(m)
+    r, sigma, _ = _nearest_rotation(m)
     if sigma[-1] < 1e-9:
         raise DegenerateMatrix("matrix is singular: smallest singular value below 1e-9")
-    r = _project(u, vt)
     with np.errstate(over="ignore"):  # an overflowing distance gives inf, which is rejected
         dist = np.linalg.norm(m - r)
     if dist > 0.5:
@@ -330,7 +329,9 @@ def _shepperd(rows) -> UnitQuaternion:
     else:
         s = math.sqrt(1.0 - m00 - m11 + m22) * 2.0
         q = ((m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, s / 4.0)
-    return UnitQuaternion(*q).canonical()
+    if _first_nonzero_negative(q):  # canonical()'s sign rule, applied before the one UnitQuaternion is built
+        q = tuple(-c for c in q)
+    return UnitQuaternion(*q)
 
 
 def _as_rotation(r_mat) -> np.ndarray:
@@ -343,8 +344,7 @@ def _as_rotation(r_mat) -> np.ndarray:
 def _repair(m: np.ndarray) -> RotationMatrix:
     """RotationMatrix of a rotation the library computed: re-projected onto SO(3) past ORTHO_TOL, then checked."""
     if math.sqrt(_defects(*m.ravel().tolist())[0]) > ORTHO_TOL:
-        u, _, vt = np.linalg.svd(m)
-        m = _project(u, vt)
+        m = _nearest_rotation(m)[0]
     return RotationMatrix(m)
 
 
@@ -388,9 +388,14 @@ def _sq(x, y, z):
     return x * x + y * y + z * z
 
 
-def _project(u: np.ndarray, vt: np.ndarray) -> np.ndarray:
-    """u diag(1, 1, det(u vt)) vt: the rotation nearest to u S vt, with any reflection removed."""
-    return u @ np.diag([1.0, 1.0, np.linalg.det(u @ vt)]) @ vt
+def _nearest_rotation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(r, sigma, d) of the library's one SVD m = u diag(sigma) vt: r = u diag(1, 1, d) vt, the rotation nearest m.
+
+    d = +1 or -1 exactly, the sign of det(u vt) (Arun, Huang & Blostein 1987; Umeyama's reflection fix, 1991).
+    """
+    u, sigma, vt = np.linalg.svd(m)
+    d = 1.0 if _defects(*u.ravel().tolist())[1] * _defects(*vt.ravel().tolist())[1] > 0.0 else -1.0
+    return (u * [1.0, 1.0, d]) @ vt, sigma, d
 
 
 def _quat_norm(w, x, y, z) -> float:
@@ -402,7 +407,7 @@ def _quat_norm(w, x, y, z) -> float:
 
 
 def _first_nonzero_negative(components) -> bool:
-    """Sign tie-break: True when the first nonzero component is negative, so a flip makes it positive."""
+    """Quaternion sign rule: True when the first nonzero of (w, x, y, z) is negative, so a flip makes it positive."""
     for c in components:
         if c != 0.0:
             return c < 0.0

@@ -6,6 +6,7 @@ import pytest
 import rigid3d as r
 from rigid3d.errors import (
     DegenerateGeometry,
+    DegenerateMatrix,
     DegenerateMotion,
     Rigid3dError,
     TooFewMotions,
@@ -231,6 +232,14 @@ class TestHandEye:
         b_list = [r.Transform(r.so3_exp(w), rng.standard_normal(3)) for w in axes]
         a_list = [r.compose(r.compose(x0, b), r.inverse(x0)) for b in b_list]
         with pytest.raises(DegenerateMotion, match="not diverse enough"):
+            r.hand_eye_calibrate(a_list, b_list)
+
+    def test_reflected_correlation_rejected(self, rng):
+        # A_i = X B_i^-1 X^-1 gives alpha_i = -R_X beta_i, so M^T = -R_X sum beta_i beta_i^T: its polar
+        # factor -R_X is a reflection, and the nearest rotation to it would be a wrong X
+        x0, _, b_list = synthetic_handeye(rng)
+        a_list = [r.compose(r.compose(x0, r.inverse(b)), r.inverse(x0)) for b in b_list]
+        with pytest.raises(DegenerateMatrix, match="polar factor of M is a reflection"):
             r.hand_eye_calibrate(a_list, b_list)
 
     def test_near_coplanar_axes_give_the_exact_rotation(self):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -161,6 +162,22 @@ class TestQuaternion:
         got = np.array([r.matrix_to_quat(m).components() for m in ms])
         want = rotation.from_matrix(ms).as_quat(canonical=True, scalar_first=True)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            r.so3_exp([0.3, -0.4, 0.0]).m,  # trace branch: w > 0, kept
+            r.so3_exp([0.6 * (math.pi - 1e-3), -0.8 * (math.pi - 1e-3), 0.0]).m,  # m11 branch: w < 0, flipped
+            [[-0.28, -0.96, 0.0], [-0.96, 0.28, 0.0], [0.0, 0.0, -1.0]],  # half turn: w == 0 and x < 0, flipped
+        ],
+    )
+    def test_matrix_to_quat_builds_one_quaternion(self, rows):
+        # the sign is fixed on the raw components, so a flipped result is not built and normalized twice
+        post_init = r.UnitQuaternion.__post_init__
+        with mock.patch.object(r.UnitQuaternion, "__post_init__", autospec=True, side_effect=post_init) as ctor:
+            q = r.matrix_to_quat(np.array(rows))
+        assert ctor.call_count == 1
+        assert q.w > 0.0 or (q.w == 0.0 and q.x > 0.0)
 
     def test_quat_matrix_roundtrip(self, rng):
         for _ in range(1000):

@@ -42,7 +42,7 @@ class Transform:
     def __post_init__(self):
         if not isinstance(self.rotation, RotationMatrix):
             object.__setattr__(self, "rotation", RotationMatrix(self.rotation))
-        object.__setattr__(self, "translation", freeze(check_matrix(self.translation, (3,), "translation")))
+        object.__setattr__(self, "translation", freeze(self.translation, (3,), "translation"))
 
     @staticmethod
     def identity() -> "Transform":
@@ -57,8 +57,8 @@ class Twist:
     w: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "v", freeze(check_matrix(self.v, (3,), "twist linear part")))
-        object.__setattr__(self, "w", freeze(check_matrix(self.w, (3,), "twist angular part")))
+        object.__setattr__(self, "v", freeze(self.v, (3,), "twist linear part"))
+        object.__setattr__(self, "w", freeze(self.w, (3,), "twist angular part"))
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.v, self.w])
@@ -77,8 +77,8 @@ class Wrench:
     tau: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "f", freeze(check_matrix(self.f, (3,), "force")))
-        object.__setattr__(self, "tau", freeze(check_matrix(self.tau, (3,), "torque")))
+        object.__setattr__(self, "f", freeze(self.f, (3,), "force"))
+        object.__setattr__(self, "tau", freeze(self.tau, (3,), "torque"))
 
 
 def compose(a: Transform, b: Transform) -> Transform:
@@ -210,10 +210,10 @@ def _compose_stack(ra, ta, rb, tb) -> tuple[np.ndarray, np.ndarray]:
 def _build_transforms(rs: np.ndarray, ts: np.ndarray) -> list[Transform]:
     """Transforms over a rotation stack that has already been checked.
 
-    The translations get Transform's finiteness check as one stack; the
-    rotations are not checked again element by element.
+    Each stack gets the value types' shape and finiteness check once; the
+    rotations' orthogonality is not measured again element by element.
     """
-    rs, ts = freeze(rs), freeze(check_matrix(ts, (None, 3), "translation"))
+    rs, ts = freeze(rs, (None, 3, 3), "rotation matrix"), freeze(ts, (None, 3), "translation")
     out = []
     for m, t in zip(rs, ts):
         rot = object.__new__(RotationMatrix)

@@ -42,14 +42,17 @@ class RotationMatrix:
     m: np.ndarray
 
     def __post_init__(self):
-        m = check_matrix(self.m, (3, 3), "rotation matrix")
-        drift2, det = _defects(*m.ravel().tolist())
-        # written so that a NaN drift or determinant (overflow) is rejected
+        m = np.array(self.m, dtype=float)
+        drift2, det = _defects(*m.ravel().tolist()) if m.shape == (3, 3) else (math.nan, math.nan)
+        # A drift within ORTHO_TOL implies nine finite elements, so this test is also the finiteness test;
+        # written so that a NaN drift or determinant (overflow) is rejected.
         if not math.sqrt(drift2) <= ORTHO_TOL:
+            check_matrix(m, (3, 3), "rotation matrix")  # a wrong shape or a non-finite element is named first
             raise NotARotation("matrix is not orthogonal within 1e-9")
         if not abs(det - 1.0) <= ORTHO_TOL:
             raise NotARotation("matrix determinant is not +1 within 1e-9")
-        object.__setattr__(self, "m", freeze(m))
+        m.setflags(write=False)
+        object.__setattr__(self, "m", m)
 
     @staticmethod
     def identity() -> "RotationMatrix":
@@ -113,7 +116,7 @@ class EulerAngles:
     def __post_init__(self):
         if not isinstance(self.convention, EulerConvention):
             raise UnsupportedConvention(f"unknown Euler convention: {self.convention!r}")
-        object.__setattr__(self, "angles", freeze(check_matrix(self.angles, (3,), "euler angles")))
+        object.__setattr__(self, "angles", freeze(self.angles, (3,), "euler angles"))
 
 
 def hat3(v) -> np.ndarray:
@@ -226,7 +229,7 @@ def matrix_to_euler(
         roll = math.atan2(m[2, 1], m[2, 2])
         yaw = math.atan2(m[1, 0], m[0, 0])
         locked = False
-    return EulerAngles(np.array([roll, pitch, yaw]), convention), locked
+    return EulerAngles([roll, pitch, yaw], convention), locked
 
 
 def rotate(r_mat: RotationMatrix, v) -> np.ndarray:
@@ -417,9 +420,9 @@ def _first_nonzero_negative(components) -> bool:
 # Stacked kernels over (n, 3, 3) rotation and (n, 3) vector stacks. The
 # solvers use them in place of per-sample loops over the scalar functions
 # above; each gives, bit for bit, what that loop gives. _mul_stack,
-# _apply_stack, _row_norms and _repair_stack evaluate _mul, _apply, _sq and
-# _defects on column views, as the scalar functions do on floats.
-# _log_stack is that loop: one tolist() and the scalar _log on each element.
+# _apply_stack, _row_norms, _repair_stack and _log_stack evaluate _mul,
+# _apply, _sq, _defects and _log on column views, as the scalar functions do
+# on floats.
 
 
 def _mul_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -458,5 +461,18 @@ def _repair_stack(ms: np.ndarray) -> np.ndarray:
 
 
 def _log_stack(ms: np.ndarray) -> np.ndarray:
-    """so3_log of every element of a validated (n, 3, 3) stack, as (n, 3): _log mapped over the rows."""
-    return np.array([_log(rows) for rows in ms.tolist()]).reshape(-1, 3)
+    """so3_log of every element of a validated (n, 3, 3) stack, as (n, 3): _log's operations on column views.
+
+    acos and sin are math's, element by element, as in _log: NumPy's SIMD
+    versions may differ in the last bit between CPUs. The rows above
+    NEAR_PI go through _log itself.
+    """
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = ms.reshape(-1, 9).T
+    theta = np.array(list(map(math.acos, np.clip((m00 + m11 + m22 - 1.0) / 2.0, -1.0, 1.0).tolist())))
+    out = np.stack([(m21 - m12) / 2.0, (m02 - m20) / 2.0, (m10 - m01) / 2.0], axis=-1)
+    mid = (theta >= SMALL_ANGLE) & (theta <= NEAR_PI)
+    t = theta[mid]
+    out[mid] = (t / (2.0 * np.array(list(map(math.sin, t.tolist())))))[:, None] * (2.0 * out[mid])
+    for i in np.flatnonzero(theta > NEAR_PI):
+        out[i] = _log(ms[i].tolist())
+    return out

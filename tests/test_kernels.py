@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import rigid3d as r
 from rigid3d.errors import NotARotation, Rigid3dError
-from rigid3d.so3 import NEAR_PI, SMALL_ANGLE, _log_stack, _repair, _repair_stack
+from rigid3d.so3 import NEAR_PI, SMALL_ANGLE, _log, _log_stack, _repair, _repair_stack
 
 from conftest import random_transform
 from test_calibration import synthetic_handeye, synthetic_pivot
@@ -63,6 +63,26 @@ def test_log_stack_is_bitwise_so3_log(items):
     stack = np.array([rotation(*item) for item in items])
     want = np.array([r.so3_log(r.RotationMatrix(m)) for m in stack])
     assert np.array_equal(_log_stack(stack), want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_log_stack_is_bitwise_log_on_every_branch(seed):
+    # angles straddling SMALL_ANGLE and NEAR_PI, mid-range ones, exact 0 and exact pi, in one shuffled stack
+    rng = np.random.default_rng(seed)
+    near = [SMALL_ANGLE * rng.uniform(0.5, 2.0, 100), NEAR_PI + rng.uniform(-1e-6, 1e-6, 100)]
+    angles = np.concatenate([*near, rng.uniform(0.0, math.pi, 100), np.zeros(20)])
+    ms = [r.so3_exp(unit(rng.standard_normal(3)) * a).m for a in angles]
+    ms += [half_turn(rng.standard_normal(3)) for _ in range(20)] + [np.eye(3)]
+    ms = np.array(ms)[rng.permutation(len(ms))]
+    rows = ms.tolist()
+    theta = np.array([math.acos(max(-1.0, min(1.0, (m[0][0] + m[1][1] + m[2][2] - 1.0) / 2.0))) for m in rows])
+    assert min((theta < SMALL_ANGLE).sum(), ((theta >= SMALL_ANGLE) & (theta <= NEAR_PI)).sum(), (theta > NEAR_PI).sum()) > 50
+    want = np.array([_log(m) for m in rows])
+    assert _log_stack(ms).tobytes() == want.tobytes()  # tobytes: signed zeros count too
+
+
+def test_log_stack_of_no_rows():
+    assert _log_stack(np.zeros((0, 3, 3))).shape == (0, 3)
 
 
 BAD = {

@@ -87,10 +87,9 @@ class UnitQuaternion:
 
     def canonical(self) -> "UnitQuaternion":
         """Flip sign so w >= 0; at w == 0 the first nonzero of (x, y, z) is positive."""
-        w, x, y, z = self.w, self.x, self.y, self.z
-        if _first_nonzero_negative((w, x, y, z)):
-            return UnitQuaternion(-w, -x, -y, -z)
-        return self
+        q = (self.w, self.x, self.y, self.z)
+        c = _canonical(q)
+        return self if c is q else UnitQuaternion(*c)
 
     def components(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
@@ -176,12 +175,12 @@ def quat_compose(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
     x = a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y
     y = a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x
     z = a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w
-    return UnitQuaternion(w, x, y, z).canonical()
+    return UnitQuaternion(*_canonical((w, x, y, z)))
 
 
 def quat_inverse(q: UnitQuaternion) -> UnitQuaternion:
     """Conjugate (== inverse for unit quaternions), canonicalized."""
-    return UnitQuaternion(q.w, -q.x, -q.y, -q.z).canonical()
+    return UnitQuaternion(*_canonical((q.w, -q.x, -q.y, -q.z)))
 
 
 def _rx(a: float) -> tuple:
@@ -332,9 +331,7 @@ def _shepperd(rows) -> UnitQuaternion:
     else:
         s = math.sqrt(1.0 - m00 - m11 + m22) * 2.0
         q = ((m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, s / 4.0)
-    if _first_nonzero_negative(q):  # canonical()'s sign rule, applied before the one UnitQuaternion is built
-        q = tuple(-c for c in q)
-    return UnitQuaternion(*q)
+    return UnitQuaternion(*_canonical(q))
 
 
 def _as_rotation(r_mat) -> np.ndarray:
@@ -345,10 +342,13 @@ def _as_rotation(r_mat) -> np.ndarray:
 
 
 def _repair(m: np.ndarray) -> RotationMatrix:
-    """RotationMatrix of a rotation the library computed: re-projected onto SO(3) past ORTHO_TOL, then checked."""
-    if math.sqrt(_defects(*m.ravel().tolist())[0]) > ORTHO_TOL:
-        m = _nearest_rotation(m)[0]
-    return RotationMatrix(m)
+    """RotationMatrix of a computed rotation, re-projected onto SO(3) only when RotationMatrix rejects its drift past ORTHO_TOL."""
+    try:
+        return RotationMatrix(m)
+    except NotARotation:
+        if not math.sqrt(_defects(*m.ravel().tolist())[0]) > ORTHO_TOL:
+            raise  # the determinant failed, or the drift is NaN: rejected, not repaired
+        return RotationMatrix(_nearest_rotation(m)[0])
 
 
 def _defects(m00, m01, m02, m10, m11, m12, m20, m21, m22):
@@ -409,12 +409,12 @@ def _quat_norm(w, x, y, z) -> float:
         return math.inf
 
 
-def _first_nonzero_negative(components) -> bool:
-    """Quaternion sign rule: True when the first nonzero of (w, x, y, z) is negative, so a flip makes it positive."""
-    for c in components:
+def _canonical(q: tuple) -> tuple:
+    """Quaternion sign rule: q negated when its first nonzero of (w, x, y, z) is negative, else q itself."""
+    for c in q:
         if c != 0.0:
-            return c < 0.0
-    return False
+            return tuple(-e for e in q) if c < 0.0 else q
+    return q
 
 
 # Stacked kernels over (n, 3, 3) rotation and (n, 3) vector stacks. The

@@ -182,6 +182,17 @@ class TestPivot:
             hits += np.linalg.norm(res.tip_offset - tip) < 0.1
         assert hits >= 47
 
+    @pytest.mark.parametrize("seed", range(50))
+    def test_left_invariance(self, seed):
+        # on G T_i the tip is unchanged and the pivot point is G b
+        rng = np.random.default_rng(seed)
+        _, _, poses = synthetic_pivot(rng)
+        g = r.Transform(r.random_rotation(rng), rng.uniform(-100, 100, 3))
+        res = r.pivot_calibrate(poses)
+        moved = r.pivot_calibrate([r.compose(g, p) for p in poses])
+        np.testing.assert_allclose(moved.tip_offset, res.tip_offset, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(moved.pivot_point, r.transform_point(g, res.pivot_point), rtol=0, atol=1e-9)
+
     def test_deterministic(self, rng):
         _, _, poses = synthetic_pivot(rng)
         a, b = r.pivot_calibrate(poses), r.pivot_calibrate(poses)
@@ -303,6 +314,22 @@ class TestHandEye:
             )
             hits += ok
         assert hits >= 47
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_world_frame_invariance(self, seed):
+        # stream A's absolute poses re-expressed in a moved world, G A_i, give the same relative motions
+        rng = np.random.default_rng(seed)
+        _, a_motions, b_motions = synthetic_handeye(rng)
+        a_abs, b_abs = [random_transform(rng, trans_scale=100.0)], [random_transform(rng, trans_scale=100.0)]
+        for a, b in zip(a_motions, b_motions):
+            a_abs.append(r.compose(a_abs[-1], a))
+            b_abs.append(r.compose(b_abs[-1], b))
+        g = r.Transform(r.random_rotation(rng), rng.uniform(-100, 100, 3))
+        b_rel = r.relative_motions(b_abs)
+        x = r.hand_eye_calibrate(r.relative_motions(a_abs), b_rel).x
+        moved = r.hand_eye_calibrate(r.relative_motions([r.compose(g, a) for a in a_abs]), b_rel).x
+        np.testing.assert_allclose(moved.rotation.m, x.rotation.m, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(moved.translation, x.translation, rtol=0, atol=1e-9)
 
     def test_deterministic(self, rng):
         _, a_list, b_list = synthetic_handeye(rng)

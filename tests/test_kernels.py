@@ -88,6 +88,7 @@ def test_log_stack_of_no_rows():
 BAD = {
     "reflection": lambda m: -m,
     "nan": lambda m: np.where(np.eye(3) == 1, np.nan, m),
+    "inf": lambda m: np.where(np.eye(3) == 1, np.inf, m),
 }
 
 

@@ -7,6 +7,7 @@ Every operation must still give an answer, and every rotation it returns
 must pass RotationMatrix again.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -15,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rigid3d as r
-from rigid3d.errors import NotARotation
-from rigid3d.so3 import ORTHO_TOL, _repair, _repair_stack
+from rigid3d import so3
+from rigid3d.errors import NotARotation, Rigid3dError
+from rigid3d.so3 import ORTHO_TOL, _defects, _nearest_rotation, _repair, _repair_stack
 
 from test_calibration import synthetic_handeye
 from test_kernels import max_diff
@@ -125,3 +127,68 @@ def test_stack_check_at_the_tolerance_is_the_scalar_step(seed):
     assert len(flagged) == len(want_flagged)
     assert all(np.array_equal(f, w) for f, w in zip(flagged, want_flagged))
     assert got.tobytes() == np.array([_repair(m).m for m in stack]).tobytes()
+
+
+def counted(name: str):
+    """Patch so3.<name> with a mock that calls it and counts the calls."""
+    return mock.patch.object(so3, name, side_effect=getattr(so3, name))
+
+
+def test_one_drift_measurement_per_computed_rotation(rng):
+    # RotationMatrix's own test is the only _defects call on a computed rotation that needs no repair
+    a, b = (r.Transform(r.random_rotation(rng), rng.uniform(-10, 10, 3)) for _ in range(2))
+    w = rng.uniform(-1, 1, 3)
+    twist = r.Twist(rng.uniform(-10, 10, 3), w)
+    q = r.matrix_to_quat(r.random_rotation(rng))
+    angles = r.EulerAngles(rng.uniform(-1, 1, 3))
+    calls = {
+        "compose": lambda: r.compose(a, b),
+        "inverse": lambda: r.inverse(a),
+        "so3_exp": lambda: r.so3_exp(w),
+        "se3_exp": lambda: r.se3_exp(twist),
+        "quat_to_matrix": lambda: r.quat_to_matrix(q),
+        "euler_to_matrix": lambda: r.euler_to_matrix(angles),
+    }
+    for name, call in calls.items():
+        with counted("_defects") as defects, counted("_nearest_rotation") as project:
+            call()
+        assert (defects.call_count, project.call_count) == (1, 0), name
+
+
+def reference_repair(m):
+    """The rule _repair must give, written out: measure the drift, re-project past ORTHO_TOL, then check."""
+    if math.sqrt(_defects(*m.ravel().tolist())[0]) > ORTHO_TOL:
+        m = _nearest_rotation(m)[0]
+    return r.RotationMatrix(m)
+
+
+def outcome(repair, m):
+    try:
+        return repair(m).m.tobytes()
+    except Rigid3dError as exc:
+        return type(exc), str(exc)
+
+
+def sweep(rng, n):
+    """n of each: rotations, reflections within tolerance, drifted rotations and reflections, scaled rotations."""
+    out = []
+    for _ in range(n):
+        rot = r.random_rotation(rng).m
+        noise = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-12, -2)
+        reflection = rot * [1.0, 1.0, -1.0]
+        scale = 1.0 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-12, 0)
+        out += [rot, reflection, rot + noise, reflection + noise, scale * rot]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_repair_keeps_the_measure_then_check_rule(seed):
+    rng = np.random.default_rng(seed)
+    near = [near_tolerance(r.random_rotation(rng).m, rng) for _ in range(100)]
+    ms = sweep(rng, 200) + near + [m.T for m in near]
+    got = [outcome(_repair, m) for m in ms]
+    want = [outcome(reference_repair, m) for m in ms]
+    assert got == want
+    errors = [g for g in got if isinstance(g, tuple)]
+    assert 0 < len(errors) < len(ms) // 2
+    assert {e[1] for e in errors} == {"matrix determinant is not +1 within 1e-9"}

@@ -257,6 +257,11 @@ class TestAdjoint:
             right = r.se3_exp(r.adjoint_apply_twist(t, xi))
             np.testing.assert_allclose(r.to_matrix4(left), r.to_matrix4(right), atol=1e-9)
 
+    def test_adjoint_is_a_homomorphism(self, rng):
+        for _ in range(200):
+            a, b = random_transform(rng, trans_scale=10.0), random_transform(rng, trans_scale=10.0)
+            np.testing.assert_allclose(r.adjoint(r.compose(a, b)), r.adjoint(a) @ r.adjoint(b), rtol=0, atol=1e-9)
+
     def test_adjoint_overflow_is_rejected(self):
         t = r.Transform(r.so3_exp([0.1, 0.2, 0.3]), [1.7e308] * 3)
         with pytest.raises(Rigid3dError, match="^adjoint contains non-finite values$"):

@@ -179,6 +179,37 @@ class TestQuaternion:
         assert ctor.call_count == 1
         assert q.w > 0.0 or (q.w == 0.0 and q.x > 0.0)
 
+    @pytest.mark.parametrize("flipped", [False, True])
+    @pytest.mark.parametrize("op", ["compose", "inverse"])
+    def test_quat_compose_and_inverse_build_one_quaternion(self, rng, op, flipped):
+        # the unflipped build, negated exactly when the sign rule flips it: never normalized twice
+        while True:
+            a, b = (r.matrix_to_quat(r.random_rotation(rng)) for _ in range(2))
+            if op == "compose":
+                raw = (
+                    a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
+                    a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
+                    a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
+                    a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
+                )
+                fn, args = r.quat_compose, (a, b)
+            else:
+                a = r.UnitQuaternion(-a.w, -a.x, -a.y, -a.z) if flipped else a
+                raw = (a.w, -a.x, -a.y, -a.z)
+                fn, args = r.quat_inverse, (a,)
+            if (raw[0] < 0.0) == flipped:
+                break
+        unflipped = r.UnitQuaternion(*raw).components()
+        post_init = r.UnitQuaternion.__post_init__
+        with mock.patch.object(r.UnitQuaternion, "__post_init__", autospec=True, side_effect=post_init) as ctor:
+            q = fn(*args)
+        assert ctor.call_count == 1
+        assert q.components().tobytes() == (-unflipped if flipped else unflipped).tobytes()
+
+    def test_canonical_returns_self_when_unflipped(self, rng):
+        q = r.matrix_to_quat(r.random_rotation(rng))
+        assert q.canonical() is q
+
     def test_quat_matrix_roundtrip(self, rng):
         for _ in range(1000):
             rot = r.random_rotation(rng)

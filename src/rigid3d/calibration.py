@@ -21,7 +21,7 @@ from .errors import (
     TooFewPoses,
 )
 from .se3 import Transform, _stack_transforms
-from .so3 import _apply_stack, _log_stack, _mul_stack, _nearest_rotation, _repair, _repair_stack, _row_norms
+from .so3 import _apply, _apply_stack, _log_stack, _mul_stack, _nearest_rotation, _repair, _repair_stack, _row_norms
 from .validation import check_matrix
 
 SINGULAR_RATIO = 1e-9
@@ -76,10 +76,10 @@ def register_point_sets(p, q) -> RegistrationResult:
     if sigma[1] < SINGULAR_RATIO * sigma[0]:  # sorted, so sigma[2] is below the ratio too
         raise DegenerateGeometry("points are collinear: rotation about the line is unconstrained")
     rot = _repair(r.T)  # for H = U S V^T this is Kabsch's V diag(1, 1, d) U^T
-    t = q_bar - rot.m @ p_bar
+    t = q_bar - _apply(rot.m.ravel().tolist(), p_bar.tolist())
     transform = Transform(rot, t)
     with np.errstate(over="ignore"):  # an overflowing residual is left to _rms
-        residuals = np.linalg.norm((p @ rot.m.T + t) - q, axis=1)
+        residuals = _row_norms(_apply_stack(rot.m, p) + t - q)
     return RegistrationResult(transform, _rms(residuals), residuals)
 
 
@@ -172,6 +172,7 @@ def _check_axis_diversity(alphas) -> None:
     axes = alphas[rotating] / norms[rotating, None]
     if len(axes) < 2:
         raise DegenerateMotion("need at least 2 motions with nonzero rotation")
-    angles = np.arccos(np.minimum(np.abs(axes[1:] @ axes[0]), 1.0))
+    x, y, z = (axes[1:] * axes[0]).T
+    angles = np.arccos(np.minimum(np.abs(x + y + z), 1.0))
     if not np.any(angles > PARALLEL_AXIS_TOL):
         raise DegenerateMotion("all rotation axes are parallel: X is not unique")

@@ -65,7 +65,7 @@ class RigidRegistration(BaseEstimator):
         self._fitted("transform_")
         pts = check_matrix(X, (None, 3), "points")
         with np.errstate(over="ignore", invalid="ignore"):
-            out = pts @ self.transform_.rotation.m.T + self.transform_.translation
+            out = _apply_stack(self.transform_.rotation.m, pts) + self.transform_.translation
         return check_matrix(out, (None, 3), "transformed points")
 
     def fit_transform(self, X, y):

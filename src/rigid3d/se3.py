@@ -172,7 +172,8 @@ def to_matrix4(t: Transform) -> np.ndarray:
 def from_matrix4(m) -> Transform:
     """Extract (R, t); a block with det > 0 and orthogonality drift < 1e-4 is repaired."""
     m = check_matrix(m, (4, 4), "homogeneous matrix")
-    if np.linalg.norm(m[3] - np.array([0.0, 0.0, 0.0, 1.0])) > 1e-9:
+    x, y, z, w = m[3].tolist()
+    if math.sqrt(_sq(x, y, z) + (w - 1.0) * (w - 1.0)) > 1e-9:
         raise InvalidHomogeneousRow("last row must be (0, 0, 0, 1)")
     block = m[:3, :3]
     drift2, det = _defects(*block.ravel().tolist())

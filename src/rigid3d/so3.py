@@ -127,8 +127,8 @@ def vee3(s) -> np.ndarray:
     """Inverse of hat3; input must be skew-symmetric within 1e-9."""
     s = check_matrix(s, (3, 3), "skew matrix")
     with np.errstate(over="ignore"):  # an overflowing s + s^T gives inf, which is rejected
-        asym = np.linalg.norm(s + s.T)
-    if asym >= 1e-9:
+        r0, r1, r2 = (s + s.T).tolist()
+    if math.sqrt(_sq(*r0) + _sq(*r1) + _sq(*r2)) >= 1e-9:
         raise NotSkewSymmetric("matrix is not skew-symmetric within 1e-9")
     return np.array([s[2, 1], s[0, 2], s[1, 0]])
 
@@ -243,9 +243,8 @@ def orthonormalize(m) -> RotationMatrix:
     r, sigma, _ = _nearest_rotation(m)
     if sigma[-1] < 1e-9:
         raise DegenerateMatrix("matrix is singular: smallest singular value below 1e-9")
-    with np.errstate(over="ignore"):  # an overflowing distance gives inf, which is rejected
-        dist = np.linalg.norm(m - r)
-    if dist > 0.5:
+    r0, r1, r2 = (m - r).tolist()  # an overflowing square gives inf, which is rejected
+    if math.sqrt(_sq(*r0) + _sq(*r1) + _sq(*r2)) > 0.5:
         raise DegenerateMatrix("matrix is too far from SO(3) to repair")
     return _repair(r)
 

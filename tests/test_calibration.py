@@ -13,6 +13,7 @@ from rigid3d.errors import (
     TooFewPoints,
     TooFewPoses,
 )
+from rigid3d.so3 import _sq
 
 from conftest import random_transform
 
@@ -55,6 +56,15 @@ def synthetic_handeye(rng, n=10, rot_noise=0.0, trans_noise=0.0):
     return x0, a_list, b_list
 
 
+def seeded_registration(seed):
+    """Index-paired point sets (p, q): 3 to 39 points, q a rigid motion of p, with noise on odd seeds."""
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal((rng.integers(3, 40), 3)) * rng.uniform(0.1, 100.0)
+    t0 = random_transform(rng, rng.uniform(0.1, 100.0))
+    q = p @ t0.rotation.m.T + t0.translation
+    return p, q + rng.normal(0.0, 1e-2, q.shape) if seed % 2 else q
+
+
 class TestRegistration:
     def test_identity(self):
         p = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
@@ -94,6 +104,14 @@ class TestRegistration:
         p = np.eye(4, 3)
         with pytest.raises(Rigid3dError, match="^residual RMS overflows double precision$"):
             r.register_point_sets(p, 1e154 * np.array(q, dtype=float))
+
+    def test_residuals_equal_transform_point_bitwise(self):
+        for seed in range(200):
+            p, q = seeded_registration(seed)
+            res = r.register_point_sets(p, q)
+            for i, residual in enumerate(res.per_point_residuals):
+                expected = math.sqrt(_sq(*(r.transform_point(res.transform, p[i]) - q[i])))
+                assert residual == expected, (seed, i)
 
     def test_rms_matches_per_point(self, rng):
         p = rng.standard_normal((8, 3))

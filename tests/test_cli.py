@@ -338,6 +338,28 @@ def test_inline_compose_full_precision():
     assert out == (GOLDEN / "compose.json").read_text()
 
 
+# argparse takes a token that starts with "-" for an option unless it is a lone number. No rigid3d
+# option starts with "-" and a digit or ".", so such a token is a value, as in its "--flag=" and "--" forms.
+@pytest.mark.parametrize(
+    "plain, equivalent",
+    [
+        (["log", "--pose", "-1,2,3,1,0,0,0"], ["log", "--pose=-1,2,3,1,0,0,0"]),
+        (["convert", "--pose", "-.5,2,3,1,0,0,0", "--to", "quat"], ["convert", "--pose=-.5,2,3,1,0,0,0", "--to=quat"]),
+        (["exp", "--twist", "-1,0,0,0,0,0.5"], ["exp", "--twist=-1,0,0,0,0,0.5"]),
+        (["compose", "-1,2,3,1,0,0,0", "-0.5,0,0,1,0,0,0"], ["compose", "--", "-1,2,3,1,0,0,0", "-0.5,0,0,1,0,0,0"]),
+    ],
+)
+def test_leading_minus_number_is_a_value(plain, equivalent):
+    result = run(plain)
+    assert result[0] == 0
+    assert result == run(equivalent)
+
+
+@pytest.mark.parametrize("token", ["-x", "-nan,2,3,1,0,0,0", "--pose"])
+def test_leading_minus_word_is_an_option(token):
+    assert run(["log", "--pose", token]) == (1, "", "usage error: argument --pose: expected one argument\n")
+
+
 # Each OpenBLAS core this CPU can run, as (OPENBLAS_CORETYPE, the /proc/cpuinfo flags it needs, more environment).
 # The last runs NumPy's own loops without their AVX-512 versions.
 OPENBLAS_CHILDREN = {

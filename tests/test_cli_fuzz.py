@@ -88,23 +88,28 @@ def argv_for(rnd: random.Random, tmp_path) -> list[str]:
     def inline_pose() -> str:
         return ",".join(pose_fields(rnd, rnd.random() < 0.5))
 
+    def flag(name: str, value: str) -> list[str]:
+        """The plain form and the "--flag=" form both take a value that starts with a minus sign."""
+        return [name, value] if rnd.random() < 0.5 else [f"{name}={value}"]
+
     def pose_source() -> list[str]:
         choice = rnd.random()
-        if choice < 0.45:  # "--pose=" passes a leading minus sign, which argparse takes for an option
-            return ["--pose", inline_pose()] if rnd.random() < 0.3 else ["--pose=" + inline_pose()]
+        if choice < 0.45:
+            return flag("--pose", inline_pose())
         if choice < 0.9:
             return ["--input", poses()]
-        return [] if rnd.random() < 0.5 else ["--pose=" + inline_pose(), "--input", poses()]
+        return [] if rnd.random() < 0.5 else [*flag("--pose", inline_pose()), "--input", poses()]
 
     sub = rnd.choice(["convert", "compose", "exp", "log", "register", "pivot", "handeye"])
     if sub == "convert":
         argv = [sub, *pose_source(), "--to", rnd.choice(["matrix4", "quat", "euler-zyx", "rotvec", "euler"])]
     elif sub == "compose":
-        argv = [sub, "--"] + [inline_pose() if rnd.random() < 0.5 else poses() for _ in range(rnd.randint(0, 3))]
+        argv = [sub, "--"] if rnd.random() < 0.5 else [sub]
+        argv += [inline_pose() if rnd.random() < 0.5 else poses() for _ in range(rnd.randint(0, 3))]
     elif sub == "exp":
         w = [repr(rnd.uniform(-4.0, 4.0)) for _ in range(6)]
         w = [field(rnd) if rnd.random() < 0.2 else f for f in w][: rnd.choice([6, 6, 6, 5, 7])]
-        argv = [sub, "--twist=" + ",".join(w)]
+        argv = [sub, *flag("--twist", ",".join(w))]
     elif sub == "log":
         argv = [sub, *pose_source()]
     elif sub == "register":

@@ -6,7 +6,7 @@ from rigid3d.errors import Rigid3dError
 from rigid3d.estimators import HandEyeCalibrator, NotFittedError, PivotCalibrator, RigidRegistration
 
 from conftest import random_transform
-from test_calibration import synthetic_handeye, synthetic_pivot
+from test_calibration import seeded_registration, synthetic_handeye, synthetic_pivot
 
 
 class TestRigidRegistration:
@@ -18,6 +18,14 @@ class TestRigidRegistration:
         assert est.rms_error_ < 1e-9
         np.testing.assert_allclose(est.transform(p), q, atol=1e-9)
         np.testing.assert_allclose(est.predict(p), q, atol=1e-9)
+
+    def test_transform_equals_transform_point_bitwise(self):
+        for seed in range(200):
+            p, q = seeded_registration(seed)
+            est = RigidRegistration().fit(p, q)
+            out = est.transform(p)
+            for i, x in enumerate(p):
+                assert np.array_equal(out[i], r.transform_point(est.transform_, x)), (seed, i)
 
     def test_fit_transform(self, rng):
         p = rng.standard_normal((5, 3))

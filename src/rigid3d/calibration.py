@@ -76,10 +76,10 @@ def register_point_sets(p, q) -> RegistrationResult:
     if sigma[1] < SINGULAR_RATIO * sigma[0]:  # sorted, so sigma[2] is below the ratio too
         raise DegenerateGeometry("points are collinear: rotation about the line is unconstrained")
     rot = _repair(r.T)  # for H = U S V^T this is Kabsch's V diag(1, 1, d) U^T
-    t = q_bar - _apply(rot.m.ravel().tolist(), p_bar.tolist())
+    t = q_bar - _apply(rot._e, p_bar.tolist())
     transform = Transform(rot, t)
     with np.errstate(over="ignore"):  # an overflowing residual is left to _rms
-        residuals = _row_norms(_apply_stack(rot.m, p) + t - q)
+        residuals = _row_norms(_apply_stack(rot._e, p) + t - q)
     return RegistrationResult(transform, _rms(residuals), residuals)
 
 
@@ -105,7 +105,7 @@ def pivot_calibrate(samples) -> PivotResult:
     if sv[0] ** 2 > MAX_CONDITION * sv[-1] ** 2:
         raise DegenerateMotion("insufficient rotational diversity: tip and pivot are not separable")
     tip, pivot = sol[:3], sol[3:]
-    errs = _row_norms(_apply_stack(rs, tip) + ts - pivot)
+    errs = _row_norms(_apply_stack(rs, tip.tolist()) + ts - pivot)
     return PivotResult(tip, pivot, _rms(errs), errs)
 
 
@@ -137,7 +137,7 @@ def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
     if sign < 0:  # r is then the nearest rotation to M^T, not its polar factor
         raise DegenerateMatrix("the polar factor of M is a reflection: no rotation X solves the motion pairs")
     rot_x = _repair(r)
-    r_x = rot_x.m
+    r_x = rot_x._e
 
     d = _apply_stack(r_x, tb) - ta
     t_x, *_ = np.linalg.lstsq((ra - np.eye(3)).reshape(3 * n, 3), d.reshape(3 * n), rcond=None)
@@ -147,7 +147,7 @@ def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
     right = _repair_stack(_mul_stack(r_x, rb))
     rel = _repair_stack(_mul_stack(np.swapaxes(left, 1, 2), right))
     rot_errs = _row_norms(_log_stack(rel))
-    trans_errs = _row_norms(_apply_stack(ra, t_x) - t_x - d)
+    trans_errs = _row_norms(_apply_stack(ra, t_x.tolist()) - t_x - d)
     return HandEyeResult(
         Transform(rot_x, t_x),
         _rms(rot_errs),

@@ -65,7 +65,7 @@ class RigidRegistration(BaseEstimator):
         self._fitted("transform_")
         pts = check_matrix(X, (None, 3), "points")
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _apply_stack(self.transform_.rotation.m, pts) + self.transform_.translation
+            out = _apply_stack(self.transform_.rotation._e, pts) + self.transform_.translation
         return check_matrix(out, (None, 3), "transformed points")
 
     def fit_transform(self, X, y):
@@ -93,7 +93,7 @@ class PivotCalibrator(BaseEstimator):
         self._fitted("tip_offset_")
         rs, ts = _stack_transforms(X)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _apply_stack(rs, self.tip_offset_) + ts
+            out = _apply_stack(rs, self.tip_offset_.tolist()) + ts
         return check_matrix(out, (None, 3), "predicted tips")
 
 
@@ -116,5 +116,5 @@ class HandEyeCalibrator(BaseEstimator):
         self._fitted("transform_")
         x, x_inv = self.transform_, inverse(self.transform_)
         rs, ts = _stack_transforms(X)
-        rs, ts = _compose_stack(x_inv.rotation.m, x_inv.translation, rs, ts)
-        return _build_transforms(*_compose_stack(rs, ts, x.rotation.m, x.translation))
+        rs, ts = _compose_stack(x_inv.rotation._e, x_inv._t, rs, ts)
+        return _build_transforms(*_compose_stack(rs, ts, x.rotation._e, x._t))

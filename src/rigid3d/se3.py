@@ -8,100 +8,130 @@ adjoint of T = (R, t) acting on that ordering is the 6x6 block matrix
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidHomogeneousRow, NotARotation
 from .so3 import (
-    _EYE,
     SERIES_ANGLE,
     RotationMatrix,
     _apply,
     _apply_stack,
     _defects,
+    _finite,
+    _forms,
     _hat,
+    _log,
     _mul,
     _mul_stack,
+    _new,
     _repair,
     _repair_stack,
     _rodrigues,
+    _rows,
+    _series,
     _sq,
-    so3_log,
+    _transpose,
+    _Value,
 )
 from .validation import check_matrix, freeze
 
 
-@dataclass(frozen=True)
-class Transform:
+class Transform(_Value):
     """SE(3) element stored as (rotation, translation)."""
 
-    rotation: RotationMatrix
-    translation: np.ndarray
+    _fields = ("rotation", "translation")
+    translation, _t = _forms("translation", "_t", (3,))
 
-    def __post_init__(self):
-        if not isinstance(self.rotation, RotationMatrix):
-            object.__setattr__(self, "rotation", RotationMatrix(self.rotation))
-        object.__setattr__(self, "translation", freeze(self.translation, (3,), "translation"))
+    def __init__(self, rotation, translation):
+        self.__post_init__(rotation, translation)
+
+    def __post_init__(self, rotation, translation):
+        if not isinstance(rotation, RotationMatrix):
+            rotation = RotationMatrix(rotation)
+        self.__dict__.update(rotation=rotation, translation=freeze(translation, (3,), "translation"))
+
+    def _key(self):
+        return self.rotation._key(), tuple(self._t)
 
     @staticmethod
     def identity() -> "Transform":
         return Transform(RotationMatrix.identity(), np.zeros(3))
 
 
-@dataclass(frozen=True)
-class Twist:
+class Twist(_Value):
     """se(3) element: linear part v first, angular part w second."""
 
-    v: np.ndarray
-    w: np.ndarray
+    _fields = ("v", "w")
+    v, _v = _forms("v", "_v", (3,))
+    w, _w = _forms("w", "_w", (3,))
 
-    def __post_init__(self):
-        object.__setattr__(self, "v", freeze(self.v, (3,), "twist linear part"))
-        object.__setattr__(self, "w", freeze(self.w, (3,), "twist angular part"))
+    def __init__(self, v, w):
+        self.__post_init__(v, w)
+
+    def __post_init__(self, v, w):
+        self.__dict__.update(v=freeze(v, (3,), "twist linear part"), w=freeze(w, (3,), "twist angular part"))
+
+    def _key(self):
+        return tuple(self._v), tuple(self._w)
 
     def as_array(self) -> np.ndarray:
-        return np.concatenate([self.v, self.w])
+        return np.array(self._v + self._w)
 
     @staticmethod
     def from_array(xi) -> "Twist":
-        xi = check_matrix(xi, (6,), "twist")
-        return Twist(xi[:3], xi[3:])
+        xi = check_matrix(xi, (6,), "twist").tolist()
+        return _new(Twist, _v=xi[:3], _w=xi[3:])
 
 
-@dataclass(frozen=True)
-class Wrench:
+class Wrench(_Value):
     """Force f first, moment tau second."""
 
-    f: np.ndarray
-    tau: np.ndarray
+    _fields = ("f", "tau")
+    f, _f = _forms("f", "_f", (3,))
+    tau, _tau = _forms("tau", "_tau", (3,))
 
-    def __post_init__(self):
-        object.__setattr__(self, "f", freeze(self.f, (3,), "force"))
-        object.__setattr__(self, "tau", freeze(self.tau, (3,), "torque"))
+    def __init__(self, f, tau):
+        self.__post_init__(f, tau)
+
+    def __post_init__(self, f, tau):
+        self.__dict__.update(f=freeze(f, (3,), "force"), tau=freeze(tau, (3,), "torque"))
+
+    def _key(self):
+        return tuple(self._f), tuple(self._tau)
+
+
+def _transform(rot: RotationMatrix, t: list) -> Transform:
+    """Transform of a computed rotation and translation, the translation's finiteness checked on its floats."""
+    return _new(Transform, rotation=rot, _t=_finite(t, "translation"))
+
+
+def _twist(v: list, w: list) -> Twist:
+    """Twist of computed parts, each part's finiteness checked on its floats."""
+    return _new(Twist, _v=_finite(v, "twist linear part"), _w=_finite(w, "twist angular part"))
 
 
 def compose(a: Transform, b: Transform) -> Transform:
     """Group product: rotation R_a R_b, translation R_a t_b + t_a."""
-    ra = a.rotation.m.ravel().tolist()
-    t = [x + y for x, y in zip(_apply(ra, b.translation.tolist()), a.translation.tolist())]
-    return Transform(_repair(np.array(_mul(ra, b.rotation.m.ravel().tolist())).reshape(3, 3)), t)
+    ra = a.rotation._e
+    t = [x + y for x, y in zip(_apply(ra, b._t), a._t)]
+    return _transform(_repair(_mul(ra, b.rotation._e)), t)
 
 
 def inverse(t: Transform) -> Transform:
-    rot = _repair(t.rotation.m.T)
-    return Transform(rot, [-x for x in _apply(rot.m.ravel().tolist(), t.translation.tolist())])
+    rot = _repair(_transpose(t.rotation._e))
+    return _transform(rot, [-x for x in _apply(rot._e, t._t)])
 
 
 def transform_point(t: Transform, p) -> np.ndarray:
     """R p + t; a result that overflows raises Rigid3dError."""
-    rp = _apply(t.rotation.m.ravel().tolist(), check_matrix(p, (3,), "point").tolist())
-    return check_matrix([x + y for x, y in zip(rp, t.translation.tolist())], (3,), "transformed point")
+    rp = _apply(t.rotation._e, check_matrix(p, (3,), "point").tolist())
+    return check_matrix([x + y for x, y in zip(rp, t._t)], (3,), "transformed point")
 
 
 def transform_direction(t: Transform, v) -> np.ndarray:
     """R v; a result that overflows raises Rigid3dError."""
-    rv = _apply(t.rotation.m.ravel().tolist(), check_matrix(v, (3,), "direction").tolist())
+    rv = _apply(t.rotation._e, check_matrix(v, (3,), "direction").tolist())
     return check_matrix(rv, (3,), "transformed direction")
 
 
@@ -115,57 +145,55 @@ def _v_inverse(w: list[float]) -> list[float]:
         # 1/theta^2 - (1 + cos)/(2 theta sin), written via cot(theta/2)
         half = theta / 2.0
         c = (1.0 - half * math.cos(half) / math.sin(half)) / theta**2
-    return [e - 0.5 * x + c * x2 for e, x, x2 in zip(_EYE, k, _mul(k, k))]
+    return _series(-0.5, c, k, _mul(k, k))  # e - x/2 is e + (-x/2) exactly
 
 
 def se3_exp(xi: Twist) -> Transform:
     """Exponential map: exp(hat(w)) and V(w) v from the one Rodrigues evaluation so3_exp also uses (so3._rodrigues)."""
     if not isinstance(xi, Twist):
         xi = Twist.from_array(xi)
-    rot, v = _rodrigues(xi.w)
-    return Transform(rot, _apply(v, xi.v.tolist()))
+    return _transform(*_rodrigues(xi._w, xi._v))
 
 
 def se3_log(t: Transform) -> Twist:
     """Logarithm map; inverse of se3_exp for rotation angle below pi."""
-    w = so3_log(t.rotation)
-    return Twist(_apply(_v_inverse(w.tolist()), t.translation.tolist()), w)
+    w = _log(_rows(t.rotation._e))
+    return _twist(_apply(_v_inverse(w), t._t), w)
 
 
 def adjoint(t: Transform) -> np.ndarray:
     """6x6 adjoint [[R, hat(t) R], [0, R]] for (v, w)-ordered twists; a result that overflows raises Rigid3dError."""
-    r = t.rotation.m
+    e = t.rotation._e
     out = np.zeros((6, 6))
-    out[:3, :3] = r
-    out[:3, 3:] = np.array(_mul(_hat(t.translation.tolist()), r.ravel().tolist())).reshape(3, 3)
-    out[3:, 3:] = r
+    out[:3, :3] = out[3:, 3:] = _rows(e)
+    out[:3, 3:] = _rows(_mul(_hat(t._t), e))
     return check_matrix(out, (6, 6), "adjoint")
 
 
 def adjoint_apply_twist(t: Transform, xi: Twist) -> Twist:
     """Change the frame of a twist: w' = R w, v' = R v + t x (R w)."""
-    rw, rv = _act(t, xi.w, xi.v)
-    return Twist(rv, rw)
+    rw, rv = _act(t, xi._w, xi._v)
+    return _twist(rv, rw)
 
 
 def transform_wrench(t: Transform, h: Wrench) -> Wrench:
     """Dual (co-adjoint) map keeping the power pairing f.v + tau.w invariant."""
-    rf, rtau = _act(t, h.f, h.tau)
-    return Wrench(rf, rtau)
+    rf, rtau = _act(t, h._f, h._tau)
+    return _new(Wrench, _f=_finite(rf, "force"), _tau=_finite(rtau, "torque"))
 
 
-def _act(t: Transform, a: np.ndarray, b: np.ndarray) -> tuple[list[float], list[float]]:
-    """(R a, R b + t x (R a)): the rotated angular part or force, and the moved linear part or moment."""
-    r = t.rotation.m.ravel().tolist()
-    ra = _apply(r, a.tolist())
-    cross = _apply(_hat(t.translation.tolist()), ra)
-    return ra, [x + y for x, y in zip(_apply(r, b.tolist()), cross)]
+def _act(t: Transform, a: list[float], b: list[float]) -> tuple[list[float], list[float]]:
+    """(R a, R b + t x (R a)) of two stored 3-vectors: the rotated angular part or force, and the moved linear part or moment."""
+    r = t.rotation._e
+    ra = _apply(r, a)
+    cross = _apply(_hat(t._t), ra)
+    return ra, [x + y for x, y in zip(_apply(r, b), cross)]
 
 
 def to_matrix4(t: Transform) -> np.ndarray:
     out = np.eye(4)
-    out[:3, :3] = t.rotation.m
-    out[:3, 3] = t.translation
+    out[:3, :3] = _rows(t.rotation._e)
+    out[:3, 3] = t._t
     return out
 
 
@@ -197,7 +225,7 @@ def _inverse_stack(rs, ts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _compose_stack(ra, ta, rb, tb) -> tuple[np.ndarray, np.ndarray]:
-    """compose over stacks; either side may be a single (3, 3), (3,) element.
+    """compose over stacks; either side may be a single element, its rotation's nine floats and its translation's three.
 
     The products go through _repair_stack, as compose puts each through
     _repair. An overflowing translation is left to the caller's finiteness check,
@@ -213,14 +241,7 @@ def _build_transforms(rs: np.ndarray, ts: np.ndarray) -> list[Transform]:
 
     Each stack gets the value types' shape and finiteness check once; the
     rotations' orthogonality is not measured again element by element.
+    Each value keeps its rows of the frozen stacks as its arrays.
     """
     rs, ts = freeze(rs, (None, 3, 3), "rotation matrix"), freeze(ts, (None, 3), "translation")
-    out = []
-    for m, t in zip(rs, ts):
-        rot = object.__new__(RotationMatrix)
-        object.__setattr__(rot, "m", m)
-        tf = object.__new__(Transform)
-        object.__setattr__(tf, "rotation", rot)
-        object.__setattr__(tf, "translation", t)
-        out.append(tf)
-    return out
+    return [_new(Transform, rotation=_new(RotationMatrix, m=m), translation=t) for m, t in zip(rs, ts)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -35,14 +35,90 @@ NEAR_LOCK = math.pi / 2 - 1e-2  # asin loses eps/(pi/2 - |pitch|); matrix_to_eul
 EXP_MAX_COMPONENT = 1e100  # exp rejects larger |w_i|: the norm, and theta**3 below, would overflow past ~1e102
 
 
-@dataclass(frozen=True)
-class RotationMatrix:
-    """3x3 orthogonal matrix with det +1; validated eagerly."""
+class _Value:
+    """Immutable value that stores its elements as floats or as arrays; equal to a value of its class with equal floats.
 
-    m: np.ndarray
+    The scalar functions read and write Python floats; callers and the
+    stacked kernels read the public read-only arrays. A value holds the
+    form it was made in, and the other is built from it on first access
+    and then kept (_forms). A public constructor keeps the one validated
+    read-only copy of each caller's array; its __init__ hands the
+    arguments to __post_init__, the validating step (the name perfbench's
+    tracer counts). The scalar functions make values of floats alone, and
+    _build_transforms of stack rows alone, through _new.
+    """
 
-    def __post_init__(self):
-        m = np.array(self.m, dtype=float)
+    _fields: tuple  # the public attributes, in constructor order, for repr
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
+class _Form:
+    """One form of a value's elements, built on first access from the form the value holds, then kept in its __dict__."""
+
+    def __init__(self, name: str, build):
+        self.name, self.build = name, build
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj.__dict__)
+        return value
+
+
+def _forms(array: str, floats: str, shape: tuple) -> tuple[_Form, _Form]:
+    """A public read-only array and the floats of the same elements, row-major: each is built from the other."""
+
+    def to_array(stored: dict) -> np.ndarray:
+        arr = np.array(stored[floats])
+        arr.setflags(write=False)
+        return arr.reshape(shape)
+
+    return _Form(array, to_array), _Form(floats, lambda stored: stored[array].ravel().tolist())
+
+
+def _finite(v: list, name: str) -> list:
+    """A computed 3-vector's floats, checked as freeze checks a stored array: v itself, or the same Rigid3dError."""
+    x, y, z = v
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise Rigid3dError(f"{name} contains non-finite values")
+    return v
+
+
+def _new(cls, **stored):
+    """A value of cls holding the given forms of what the library computed and checked: no validation, no other form."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(stored)
+    return obj
+
+
+class RotationMatrix(_Value):
+    """3x3 orthogonal matrix with det +1; validated eagerly.
+
+    Its nine elements are the row-major floats _e, and m is their read-only array.
+    """
+
+    _fields = ("m",)
+    m, _e = _forms("m", "_e", (3, 3))
+
+    def __init__(self, m):
+        self.__post_init__(m)
+
+    def __post_init__(self, m):
+        m = np.array(m, dtype=float)
         drift2, det = _defects(*m.ravel().tolist()) if m.shape == (3, 3) else (math.nan, math.nan)
         # A drift within ORTHO_TOL implies nine finite elements, so this test is also the finiteness test;
         # written so that a NaN drift or determinant (overflow) is rejected.
@@ -52,7 +128,10 @@ class RotationMatrix:
         if not abs(det - 1.0) <= ORTHO_TOL:
             raise NotARotation("matrix determinant is not +1 within 1e-9")
         m.setflags(write=False)
-        object.__setattr__(self, "m", m)
+        self.__dict__["m"] = m
+
+    def _key(self):
+        return tuple(self._e)
 
     @staticmethod
     def identity() -> "RotationMatrix":
@@ -100,8 +179,7 @@ class EulerConvention(enum.Enum):
     XYZ_EXTRINSIC = "xyz_extrinsic"
 
 
-@dataclass(frozen=True)
-class EulerAngles:
+class EulerAngles(_Value):
     """Three angles in radians plus a convention tag.
 
     ZYX_INTRINSIC stores (roll, pitch, yaw); XYZ_EXTRINSIC stores the
@@ -109,13 +187,23 @@ class EulerAngles:
     matrix product Rz * Ry * Rx.
     """
 
-    angles: np.ndarray
-    convention: EulerConvention = EulerConvention.ZYX_INTRINSIC
+    _fields = ("angles", "convention")
+    angles, _a = _forms("angles", "_a", (3,))
 
-    def __post_init__(self):
-        if not isinstance(self.convention, EulerConvention):
-            raise UnsupportedConvention(f"unknown Euler convention: {self.convention!r}")
-        object.__setattr__(self, "angles", freeze(self.angles, (3,), "euler angles"))
+    def __init__(self, angles, convention: EulerConvention = EulerConvention.ZYX_INTRINSIC):
+        self.__post_init__(angles, convention)
+
+    def __post_init__(self, angles, convention):
+        _check_convention(convention)
+        self.__dict__.update(angles=freeze(angles, (3,), "euler angles"), convention=convention)
+
+    def _key(self):
+        return tuple(self._a), self.convention
+
+
+def _check_convention(convention) -> None:
+    if not isinstance(convention, EulerConvention):
+        raise UnsupportedConvention(f"unknown Euler convention: {convention!r}")
 
 
 def hat3(v) -> np.ndarray:
@@ -135,7 +223,7 @@ def vee3(s) -> np.ndarray:
 
 def so3_exp(r) -> RotationMatrix:
     """Rodrigues formula; Taylor coefficients below SERIES_ANGLE."""
-    return _rodrigues(check_matrix(r, (3,), "rotation vector"))[0]
+    return _rodrigues(check_matrix(r, (3,), "rotation vector").tolist())[0]
 
 
 def so3_log(r_mat: RotationMatrix) -> np.ndarray:
@@ -146,7 +234,7 @@ def so3_log(r_mat: RotationMatrix) -> np.ndarray:
     (w, v) of matrix_to_quat as 2 atan2(|v|, w) v / |v|; at exactly pi its
     sign rule makes the first nonzero axis component positive.
     """
-    return np.array(_log(_as_rotation(r_mat).tolist()))
+    return np.array(_log(_rows(_as_rotation(r_mat))))
 
 
 def quat_to_matrix(q: UnitQuaternion) -> RotationMatrix:
@@ -154,19 +242,18 @@ def quat_to_matrix(q: UnitQuaternion) -> RotationMatrix:
     if not isinstance(q, UnitQuaternion):
         q = UnitQuaternion(*q)
     w, x, y, z = q.w, q.x, q.y, q.z
-    m = np.array(
+    return _repair(
         [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
         ]
     )
-    return _repair(m)
 
 
 def matrix_to_quat(r_mat: RotationMatrix) -> UnitQuaternion:
     """Shepperd's method: branch on the largest of trace and diagonal entries."""
-    return _shepperd(_as_rotation(r_mat).tolist())
+    return _shepperd(_rows(_as_rotation(r_mat)))
 
 
 def quat_compose(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
@@ -200,8 +287,8 @@ def _rz(a: float) -> tuple:
 
 def euler_to_matrix(e: EulerAngles) -> RotationMatrix:
     """Rz Ry Rx: both conventions store the angles about x, y and z, in that order."""
-    ax, ay, az = e.angles.tolist()
-    return _repair(np.array(_mul(_mul(_rz(az), _ry(ay)), _rx(ax))).reshape(3, 3))
+    ax, ay, az = e._a
+    return _repair(_mul(_mul(_rz(az), _ry(ay)), _rx(ax)))
 
 
 def matrix_to_euler(
@@ -215,25 +302,25 @@ def matrix_to_euler(
     atan2(-m20, hypot(m00, m10)), which stays exact where asin loses
     digits.
     """
-    m = _as_rotation(r_mat)
-    sp = max(-1.0, min(1.0, -m[2, 0]))
-    pitch = math.asin(sp)
+    m00, m01, _, m10, m11, _, m20, m21, m22 = _as_rotation(r_mat)
+    pitch = math.asin(max(-1.0, min(1.0, -m20)))
     if abs(pitch) > NEAR_LOCK:
-        pitch = math.atan2(-m[2, 0], math.hypot(m[0, 0], m[1, 0]))
+        pitch = math.atan2(-m20, math.hypot(m00, m10))
     if (math.pi / 2.0) - abs(pitch) < 1e-7:
         roll = 0.0
-        yaw = math.atan2(-m[0, 1], m[1, 1])
+        yaw = math.atan2(-m01, m11)
         locked = True
     else:
-        roll = math.atan2(m[2, 1], m[2, 2])
-        yaw = math.atan2(m[1, 0], m[0, 0])
+        roll = math.atan2(m21, m22)
+        yaw = math.atan2(m10, m00)
         locked = False
-    return EulerAngles([roll, pitch, yaw], convention), locked
+    _check_convention(convention)
+    return _new(EulerAngles, _a=[roll, pitch, yaw], convention=convention), locked  # asin and atan2 are finite
 
 
 def rotate(r_mat: RotationMatrix, v) -> np.ndarray:
     """Apply the rotation to a 3-vector; a result that overflows raises Rigid3dError."""
-    m = _as_rotation(r_mat).ravel().tolist()
+    m = _as_rotation(r_mat)
     return check_matrix(_apply(m, check_matrix(v, (3,), "vector").tolist()), (3,), "rotated vector")
 
 
@@ -255,8 +342,8 @@ def geodesic_distance(a: RotationMatrix, b: RotationMatrix) -> float:
     Computed as the norm of the log map, which stays accurate near zero
     where arccos of the trace loses half the available precision.
     """
-    rel = _mul(_as_rotation(a).T.ravel().tolist(), _as_rotation(b).ravel().tolist())
-    return math.sqrt(_sq(*so3_log(_repair(np.array(rel).reshape(3, 3))).tolist()))
+    rel = _mul(_transpose(_as_rotation(a)), _as_rotation(b))
+    return math.sqrt(_sq(*_log(_rows(_repair(rel)._e))))
 
 
 def random_rotation(rng: np.random.Generator) -> RotationMatrix:
@@ -274,17 +361,17 @@ def _hat(v) -> tuple:
     return (0.0, -z, y, z, 0.0, -x, -y, x, 0.0)
 
 
-def _rodrigues(w: np.ndarray) -> tuple[RotationMatrix, list[float]]:
-    """exp(hat(w)) = I + a K + b K^2 of a validated w, and the nine elements of V(w) = I + b K + c K^2.
+def _rodrigues(w: list[float], v: list[float] | None = None) -> tuple[RotationMatrix, list[float] | None]:
+    """exp(hat(w)) = I + a K + b K^2 of a validated w's three floats and, given v, V(w) v with V(w) = I + b K + c K^2.
 
     a, b, c = sin(t)/t, (1 - cos(t))/t^2, (t - sin(t))/t^3, from their Taylor series
     below SERIES_ANGLE, where 1 - cos(t) cancels and V v would lose eps/t.
     A component beyond EXP_MAX_COMPONENT raises Rigid3dError.
     """
-    w = w.tolist()
-    if max(map(abs, w)) > EXP_MAX_COMPONENT:
-        raise Rigid3dError(f"rotation vector component beyond {EXP_MAX_COMPONENT:g} in magnitude")
     theta = math.sqrt(_sq(*w))
+    # no component exceeds theta (sqrt(x * x) == |x| up to overflow), so only a theta past the bound needs the test
+    if theta > EXP_MAX_COMPONENT and max(map(abs, w)) > EXP_MAX_COMPONENT:
+        raise Rigid3dError(f"rotation vector component beyond {EXP_MAX_COMPONENT:g} in magnitude")
     k = _hat(w)
     if theta < SERIES_ANGLE:
         a, b, c = 1.0 - theta**2 / 6.0, 0.5 - theta**2 / 24.0, 1.0 / 6.0 - theta**2 / 120.0
@@ -292,8 +379,7 @@ def _rodrigues(w: np.ndarray) -> tuple[RotationMatrix, list[float]]:
         sin = math.sin(theta)
         a, b, c = sin / theta, (1.0 - math.cos(theta)) / theta**2, (theta - sin) / theta**3
     k2 = _mul(k, k)
-    rot = _repair(np.array([e + a * x + b * x2 for e, x, x2 in zip(_EYE, k, k2)]).reshape(3, 3))
-    return rot, [e + b * x + c * x2 for e, x, x2 in zip(_EYE, k, k2)]
+    return _repair(_series(a, b, k, k2)), None if v is None else _apply(_series(b, c, k, k2), v)
 
 
 def _log(rows) -> list[float]:
@@ -333,21 +419,36 @@ def _shepperd(rows) -> UnitQuaternion:
     return UnitQuaternion(*_canonical(q))
 
 
-def _as_rotation(r_mat) -> np.ndarray:
-    """Accept a RotationMatrix or raw array; validate either way."""
-    if isinstance(r_mat, RotationMatrix):
-        return r_mat.m
-    return RotationMatrix(r_mat).m
+def _as_rotation(r_mat) -> list[float]:
+    """The nine stored floats of a RotationMatrix, or of a raw array validated as one."""
+    return (r_mat if isinstance(r_mat, RotationMatrix) else RotationMatrix(r_mat))._e
 
 
-def _repair(m: np.ndarray) -> RotationMatrix:
-    """RotationMatrix of a computed rotation, re-projected onto SO(3) only when RotationMatrix rejects its drift past ORTHO_TOL."""
-    try:
-        return RotationMatrix(m)
-    except NotARotation:
-        if not math.sqrt(_defects(*m.ravel().tolist())[0]) > ORTHO_TOL:
-            raise  # the determinant failed, or the drift is NaN: rejected, not repaired
-        return RotationMatrix(_nearest_rotation(m)[0])
+def _rows(e) -> tuple:
+    """The three rows of nine row-major elements, as _log and _shepperd take them."""
+    return e[0:3], e[3:6], e[6:9]
+
+
+def _transpose(e) -> list:
+    """The nine row-major elements of the transpose."""
+    return e[0::3] + e[1::3] + e[2::3]
+
+
+def _repair(m) -> RotationMatrix:
+    """RotationMatrix of a computed rotation, given as its nine row-major floats or as a (3, 3) array.
+
+    The one drift measurement decides: a rotation within ORTHO_TOL keeps its
+    floats, one past it is re-projected onto SO(3), and RotationMatrix then
+    raises for a determinant off +1, a NaN drift or a non-finite element.
+    """
+    e = m.ravel().tolist() if isinstance(m, np.ndarray) else m
+    drift2, det = _defects(*e)
+    if math.sqrt(drift2) <= ORTHO_TOL and abs(det - 1.0) <= ORTHO_TOL:
+        return _new(RotationMatrix, _e=e)
+    m = np.array(e).reshape(3, 3)
+    if math.sqrt(drift2) > ORTHO_TOL:  # finite elements only: a non-finite one is named, not projected
+        m = _nearest_rotation(check_matrix(m, (3, 3), "rotation matrix"))[0]
+    return RotationMatrix(m)
 
 
 def _defects(m00, m01, m02, m10, m11, m12, m20, m21, m22):
@@ -361,9 +462,6 @@ def _defects(m00, m01, m02, m10, m11, m12, m20, m21, m22):
     drift2 = d00 * d00 + d11 * d11 + d22 * d22 + 2.0 * (d01 * d01 + d02 * d02 + d12 * d12)
     det = m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20) + m02 * (m10 * m21 - m11 * m20)
     return drift2, det
-
-
-_EYE = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def _apply(a, v) -> list:
@@ -380,9 +478,25 @@ def _apply(a, v) -> list:
 
 
 def _mul(a, b) -> list:
-    """Nine row-major elements of a b, of two 3x3 matrices as _apply takes them: _apply on each column of b."""
-    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = _apply(a, b[0::3]), _apply(a, b[1::3]), _apply(a, b[2::3])
-    return [x0, x1, x2, y0, y1, y2, z0, z1, z2]
+    """Nine row-major elements of a b, of two 3x3 matrices as _apply takes them: _apply's sum on each column of b."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
+    return [
+        a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21, a00 * b02 + a01 * b12 + a02 * b22,
+        a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21, a10 * b02 + a11 * b12 + a12 * b22,
+        a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21, a20 * b02 + a21 * b12 + a22 * b22,
+    ]
+
+
+def _series(a: float, b: float, p, q) -> list:
+    """Nine row-major elements of I + a P + b Q, each summed left to right as (I_ij + a p_ij) + b q_ij."""
+    p00, p01, p02, p10, p11, p12, p20, p21, p22 = p
+    q00, q01, q02, q10, q11, q12, q20, q21, q22 = q
+    return [
+        1.0 + a * p00 + b * q00, 0.0 + a * p01 + b * q01, 0.0 + a * p02 + b * q02,
+        0.0 + a * p10 + b * q10, 1.0 + a * p11 + b * q11, 0.0 + a * p12 + b * q12,
+        0.0 + a * p20 + b * q20, 0.0 + a * p21 + b * q21, 1.0 + a * p22 + b * q22,
+    ]
 
 
 def _sq(x, y, z):
@@ -421,19 +535,26 @@ def _canonical(q: tuple) -> tuple:
 # above; each gives, bit for bit, what that loop gives. _mul_stack,
 # _apply_stack, _row_norms, _repair_stack and _log_stack evaluate _mul,
 # _apply, _sq, _defects and _log on column views, as the scalar functions do
-# on floats.
+# on floats. A single operand of _mul_stack or _apply_stack enters as its
+# Python floats (a value's stored floats, or a.ravel().tolist()), so each
+# product is a float times a column, in _apply's order.
 
 
-def _mul_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_mul over (n, 3, 3) stacks, either of which may be a single (3, 3), as an (n, 3, 3) stack."""
+def _columns(x, size: int):
+    """An operand of _mul_stack or _apply_stack: a stack as the columns of its (n, size) view, a single element's floats as they are."""
+    return x.reshape(-1, size).T if isinstance(x, np.ndarray) else x
+
+
+def _mul_stack(a, b) -> np.ndarray:
+    """_mul over (n, 3, 3) stacks, either of which may be a single element's nine floats, as an (n, 3, 3) stack."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to the caller's check
-        return np.stack(_mul(a.reshape(-1, 9).T, b.reshape(-1, 9).T), axis=-1).reshape(-1, 3, 3)
+        return np.stack(_mul(_columns(a, 9), _columns(b, 9)), axis=-1).reshape(-1, 3, 3)
 
 
-def _apply_stack(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """_apply over an (n, 3, 3) and an (n, 3) stack, either of which may be a single element, as (n, 3)."""
+def _apply_stack(a, v) -> np.ndarray:
+    """_apply over an (n, 3, 3) and an (n, 3) stack, either of which may be a single element's floats, as (n, 3)."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to the caller's check
-        return np.stack(_apply(a.reshape(-1, 9).T, v.reshape(-1, 3).T), axis=-1)
+        return np.stack(_apply(_columns(a, 9), _columns(v, 3)), axis=-1)
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:

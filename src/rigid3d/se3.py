@@ -157,7 +157,7 @@ def se3_exp(xi: Twist) -> Transform:
 
 def se3_log(t: Transform) -> Twist:
     """Logarithm map; inverse of se3_exp for rotation angle below pi."""
-    w = _log(_rows(t.rotation._e))
+    w = _log(t.rotation._e)
     return _twist(_apply(_v_inverse(w), t._t), w)
 
 

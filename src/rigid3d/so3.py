@@ -28,9 +28,7 @@ from .errors import (
 from .validation import check_matrix, freeze
 
 ORTHO_TOL = 1e-9
-SMALL_ANGLE = 1e-8  # so3_log returns the antisymmetric part itself below this angle
 SERIES_ANGLE = 1e-4  # exp, V and V^-1 take Taylor series below this angle, where their closed forms cancel
-NEAR_PI = math.pi - 1e-2  # so3_log's mid-range formula loses eps/(pi - theta)^2; above this it reads the quaternion
 NEAR_LOCK = math.pi / 2 - 1e-2  # asin loses eps/(pi/2 - |pitch|); matrix_to_euler takes pitch from atan2 above this
 EXP_MAX_COMPONENT = 1e100  # exp rejects larger |w_i|: the norm, and theta**3 below, would overflow past ~1e102
 
@@ -229,12 +227,11 @@ def so3_exp(r) -> RotationMatrix:
 def so3_log(r_mat: RotationMatrix) -> np.ndarray:
     """Rotation vector with angle in [0, pi].
 
-    Mid-range uses the antisymmetric-part formula. Near pi, where sin(theta)
-    vanishes, angle and axis come from the canonical Shepperd quaternion
-    (w, v) of matrix_to_quat as 2 atan2(|v|, w) v / |v|; at exactly pi its
-    sign rule makes the first nonzero axis component positive.
+    One formula at every angle, accurate to a few ulps: 2 atan2(|v|, w) v / |v| of the canonical Shepperd
+    quaternion (w, v) of matrix_to_quat. At exactly pi its sign rule makes the first nonzero axis component
+    positive; below about 1e-8 the result is the antisymmetric part (R - R^T)^vee / 2, bit for bit.
     """
-    return np.array(_log(_rows(_as_rotation(r_mat))))
+    return np.array(_log(_as_rotation(r_mat)))
 
 
 def quat_to_matrix(q: UnitQuaternion) -> RotationMatrix:
@@ -253,7 +250,12 @@ def quat_to_matrix(q: UnitQuaternion) -> RotationMatrix:
 
 def matrix_to_quat(r_mat: RotationMatrix) -> UnitQuaternion:
     """Shepperd's method: branch on the largest of trace and diagonal entries."""
-    return _shepperd(_rows(_as_rotation(r_mat)))
+    k, row = _shepperd(_as_rotation(r_mat))
+    s = math.sqrt(row[k]) * 2.0  # 4 |q_k|
+    w, x, y, z = row
+    q = [w / s, x / s, y / s, z / s]
+    q[k] = s / 4.0
+    return UnitQuaternion(*_canonical(q))
 
 
 def quat_compose(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
@@ -343,7 +345,7 @@ def geodesic_distance(a: RotationMatrix, b: RotationMatrix) -> float:
     where arccos of the trace loses half the available precision.
     """
     rel = _mul(_transpose(_as_rotation(a)), _as_rotation(b))
-    return math.sqrt(_sq(*_log(_rows(_repair(rel)._e))))
+    return math.sqrt(_sq(*_log(_repair(rel)._e)))
 
 
 def random_rotation(rng: np.random.Generator) -> RotationMatrix:
@@ -382,41 +384,39 @@ def _rodrigues(w: list[float], v: list[float] | None = None) -> tuple[RotationMa
     return _repair(_series(a, b, k, k2)), None if v is None else _apply(_series(b, c, k, k2), v)
 
 
-def _log(rows) -> list[float]:
-    """so3_log of a validated rotation as nested lists; the trace sums as np.trace does, (m00 + m11) + m22."""
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
-    theta = math.acos(max(-1.0, min(1.0, (m00 + m11 + m22 - 1.0) / 2.0)))
-    if theta > NEAR_PI:
-        q = _shepperd(rows)
-        s = math.hypot(q.x, q.y, q.z)
-        scale = 2.0 * math.atan2(s, q.w) / s
-        return [scale * q.x, scale * q.y, scale * q.z]
-    w = [(m21 - m12) / 2.0, (m02 - m20) / 2.0, (m10 - m01) / 2.0]
-    if theta < SMALL_ANGLE:
-        return w
-    scale = theta / (2.0 * math.sin(theta))
-    return [scale * (2.0 * c) for c in w]
+def _log(e) -> list[float]:
+    """so3_log of a validated rotation's nine floats: 2 atan2(|v|, w) v / |v| of (w, v), _shepperd's 4 q_k q canonicalized.
+
+    The formula does not depend on the quaternion's scale. Where |v| is 0 (v = 0, or |v|^2 underflows) it is 2 v / w.
+    """
+    w, x, y, z = _canonical(_shepperd(e)[1])
+    n = math.sqrt(_sq(x, y, z))
+    scale = 2.0 * math.atan2(n, w) / n if n else 2.0 / w
+    return [scale * x, scale * y, scale * z]
 
 
-def _shepperd(rows) -> UnitQuaternion:
-    """matrix_to_quat of a validated rotation as nested lists; k is the first maximum, as np.argmax takes it."""
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
+def _shepperd(e) -> tuple[int, tuple]:
+    """(k, 4 q_k q) of a validated rotation's nine floats; branch k is the first maximum key, as np.argmax takes it."""
+    keys, qq = _shepperd_sums(*e)
+    k = keys.index(max(keys))
+    return k, qq[4 * k:4 * k + 4]
+
+
+def _shepperd_sums(m00, m01, m02, m10, m11, m12, m20, m21, m22):
+    """Shepperd's sums of R's nine elements as floats or equal-length arrays; + and - only, so both round alike.
+
+    The branch keys (t, m00, m11, m22), the trace t summed as np.trace does, and the sixteen row-major
+    elements of 4 q q^T for q = (w, x, y, z): 4 q_k^2 on the diagonal, 4 q_i q_j off it.
+    """
     t = m00 + m11 + m22
-    choices = [t, m00, m11, m22]
-    k = choices.index(max(choices))
-    if k == 0:
-        s = math.sqrt(t + 1.0) * 2.0
-        q = (s / 4.0, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s)
-    elif k == 1:
-        s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
-        q = ((m21 - m12) / s, s / 4.0, (m01 + m10) / s, (m02 + m20) / s)
-    elif k == 2:
-        s = math.sqrt(1.0 - m00 + m11 - m22) * 2.0
-        q = ((m02 - m20) / s, (m01 + m10) / s, s / 4.0, (m12 + m21) / s)
-    else:
-        s = math.sqrt(1.0 - m00 - m11 + m22) * 2.0
-        q = ((m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, s / 4.0)
-    return UnitQuaternion(*_canonical(q))
+    wx, wy, wz = m21 - m12, m02 - m20, m10 - m01
+    xy, xz, yz = m01 + m10, m02 + m20, m12 + m21
+    return (t, m00, m11, m22), (
+        t + 1.0, wx, wy, wz,
+        wx, 1.0 + m00 - m11 - m22, xy, xz,
+        wy, xy, 1.0 - m00 + m11 - m22, yz,
+        wz, xz, yz, 1.0 - m00 - m11 + m22,
+    )
 
 
 def _as_rotation(r_mat) -> list[float]:
@@ -425,7 +425,7 @@ def _as_rotation(r_mat) -> list[float]:
 
 
 def _rows(e) -> tuple:
-    """The three rows of nine row-major elements, as _log and _shepperd take them."""
+    """The three rows of nine row-major elements, as a (3, 3) block is assigned from them."""
     return e[0:3], e[3:6], e[6:9]
 
 
@@ -583,16 +583,14 @@ def _repair_stack(ms: np.ndarray) -> np.ndarray:
 def _log_stack(ms: np.ndarray) -> np.ndarray:
     """so3_log of every element of a validated (n, 3, 3) stack, as (n, 3): _log's operations on column views.
 
-    acos and sin are math's, element by element, as in _log: NumPy's SIMD
-    versions may differ in the last bit between CPUs. The rows above
-    NEAR_PI go through _log itself.
+    atan2 is math's, element by element: NumPy's SIMD arctan2 may differ in the last bit between CPUs.
     """
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = ms.reshape(-1, 9).T
-    theta = np.array(list(map(math.acos, np.clip((m00 + m11 + m22 - 1.0) / 2.0, -1.0, 1.0).tolist())))
-    out = np.stack([(m21 - m12) / 2.0, (m02 - m20) / 2.0, (m10 - m01) / 2.0], axis=-1)
-    mid = (theta >= SMALL_ANGLE) & (theta <= NEAR_PI)
-    t = theta[mid]
-    out[mid] = (t / (2.0 * np.array(list(map(math.sin, t.tolist())))))[:, None] * (2.0 * out[mid])
-    for i in np.flatnonzero(theta > NEAR_PI):
-        out[i] = _log(ms[i].tolist())
-    return out
+    keys, qq = _shepperd_sums(*ms.reshape(-1, 9).T)
+    i = np.arange(len(ms))
+    q = np.reshape(qq, (4, 4, len(ms)))[np.argmax(keys, axis=0), :, i]  # (n, 4): _shepperd's row of each element
+    q = np.where((q[i, np.argmax(q != 0.0, axis=1)] < 0.0)[:, None], -q, q)  # _canonical's sign rule
+    w, x, y, z = q.T
+    n = np.sqrt(_sq(x, y, z))
+    with np.errstate(divide="ignore", invalid="ignore"):  # where n is 0 the limit 2 / w is taken, as in _log
+        scale = np.where(n != 0.0, 2.0 * np.array(list(map(math.atan2, n.tolist(), w.tolist()))) / n, 2.0 / w)
+    return scale[:, None] * q[:, 1:]

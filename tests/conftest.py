@@ -8,6 +8,10 @@ import rigid3d as r
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
+# The angles at which so3_log once switched formulas; the seeded tests still sample on both sides of them.
+SMALL_ANGLE = 1e-8
+NEAR_PI = np.pi - 1e-2
+
 
 @pytest.fixture
 def rng():

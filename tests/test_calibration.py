@@ -318,6 +318,21 @@ class TestHandEye:
         with pytest.raises(Rigid3dError, match="^residual RMS overflows double precision$"):
             r.hand_eye_calibrate(a_list, b_list)
 
+    @pytest.mark.xfail(
+        strict=True, raises=DegenerateMatrix, reason="known defect (ROADMAP item 2): 22 of 50 seeds raise DegenerateMatrix"
+    )
+    def test_exact_half_turn_motion_on_every_seed(self):
+        # motion 5 replaced by a half turn from a w = 0 quaternion, so R_B is exactly symmetric
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            x0, a_list, b_list = synthetic_handeye(rng, n=10)
+            axis = rng.standard_normal(3)
+            axis /= np.linalg.norm(axis)
+            b_list[5] = r.Transform(r.quat_to_matrix(r.UnitQuaternion(0.0, *axis)), rng.uniform(-100, 100, 3))
+            a_list[5] = r.compose(r.compose(x0, b_list[5]), r.inverse(x0))
+            res = r.hand_eye_calibrate(a_list, b_list)
+            assert r.geodesic_distance(res.x.rotation, x0.rotation) < 1e-6
+
     def test_noise_bound(self, rng):
         # 0.1 deg rotation / 0.5 mm translation noise, 20 pairs
         hits = 0

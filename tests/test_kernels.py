@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import rigid3d as r
 from rigid3d.errors import NotARotation, Rigid3dError
-from rigid3d.so3 import NEAR_PI, SMALL_ANGLE, _log, _log_stack, _repair, _repair_stack
+from rigid3d.so3 import _log, _log_stack, _repair, _repair_stack
 
-from conftest import random_transform
+from conftest import NEAR_PI, SMALL_ANGLE, random_transform
 from test_calibration import synthetic_handeye, synthetic_pivot
 
 AXES = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1)
@@ -36,7 +36,7 @@ def unit(v):
 
 
 def half_turn(axis) -> np.ndarray:
-    """Rotation by exactly pi: symmetric, so so3_log takes its sign-tie branch."""
+    """Rotation by exactly pi: symmetric, so so3_log applies the quaternion sign rule at w = 0."""
     a = unit(axis)
     return 2.0 * np.outer(a, a) - np.eye(3)
 
@@ -77,7 +77,7 @@ def test_log_stack_is_bitwise_log_on_every_branch(seed):
     rows = ms.tolist()
     theta = np.array([math.acos(max(-1.0, min(1.0, (m[0][0] + m[1][1] + m[2][2] - 1.0) / 2.0))) for m in rows])
     assert min((theta < SMALL_ANGLE).sum(), ((theta >= SMALL_ANGLE) & (theta <= NEAR_PI)).sum(), (theta > NEAR_PI).sum()) > 50
-    want = np.array([_log(m) for m in rows])
+    want = np.array([_log(m) for m in ms.reshape(-1, 9).tolist()])
     assert _log_stack(ms).tobytes() == want.tobytes()  # tobytes: signed zeros count too
 
 

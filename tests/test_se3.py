@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import rigid3d as r
 from rigid3d.errors import InvalidHomogeneousRow, NotARotation, Rigid3dError
-from rigid3d.so3 import EXP_MAX_COMPONENT, ORTHO_TOL, SERIES_ANGLE, SMALL_ANGLE
+from rigid3d.so3 import EXP_MAX_COMPONENT, ORTHO_TOL, SERIES_ANGLE
 
-from conftest import random_transform
+from conftest import SMALL_ANGLE, random_transform
 
 
 def drift(m):

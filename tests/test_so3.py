@@ -14,9 +14,8 @@ from rigid3d.errors import (
     Rigid3dError,
     UnsupportedConvention,
 )
-from rigid3d.so3 import NEAR_PI
 
-from conftest import random_rotvec
+from conftest import NEAR_PI, random_rotvec
 
 
 def raises_without_warning(error, call, match=None):
@@ -35,6 +34,26 @@ def matrix_exp_series(k, terms=30):
         term = term @ k / n
         acc = acc + term
     return acc
+
+
+def exp_longdouble(w) -> np.ndarray:
+    """Independent oracle: Rodrigues in np.longdouble, I + sin(t)/t K + 2 sin^2(t/2)/t^2 K^2 (no 1 - cos cancellation)."""
+    x, y, z = np.asarray(w, dtype=np.longdouble)
+    k = np.array([[0, -z, y], [z, 0, -x], [-y, x, 0]], dtype=np.longdouble)
+    t = np.sqrt(x * x + y * y + z * z)
+    if t == 0:
+        return np.eye(3, dtype=np.longdouble)
+    return np.eye(3, dtype=np.longdouble) + np.sin(t) / t * k + 2 * np.sin(t / 2) ** 2 / t**2 * (k @ k)
+
+
+# Angle samplers for the long-double round trip; None is an exact half turn 2 a a^T - I.
+LOG_BANDS = {
+    "below_1e-8": lambda rng: rng.uniform(0.0, 1e-8),
+    "mid_range": lambda rng: rng.uniform(1e-8, NEAR_PI),
+    "just_below_near_pi": lambda rng: NEAR_PI - rng.uniform(0.0, 3e-3),
+    "within_1e-3_of_pi": lambda rng: math.pi - rng.uniform(0.0, 1e-3),
+    "half_turn": lambda rng: None,
+}
 
 
 class TestHatVee:
@@ -104,7 +123,7 @@ class TestExpLog:
             np.testing.assert_allclose(r.so3_exp(r.so3_log(rot)).m, rot.m, atol=1e-9)
 
     def test_log_accurate_on_both_sides_of_near_pi(self, rng):
-        # the mid-range formula's error grows as eps/(pi - theta)^2: 2e-7 rad at pi - 3e-4
+        # an acos/sin log's error grows as eps/(pi - theta)^2: 2e-7 rad at pi - 3e-4
         for delta in np.geomspace(1e-7, 0.3, 60):
             axis = rng.standard_normal(3)
             v = axis / np.linalg.norm(axis) * (math.pi - delta)
@@ -116,11 +135,26 @@ class TestExpLog:
         for _ in range(2000):
             axis = rng.standard_normal(3)
             axis /= np.linalg.norm(axis)
-            # theta in (NEAR_PI, pi - 1e-13]: the near-pi branch
+            # theta in (NEAR_PI, pi - 1e-13]
             rot = r.so3_exp(axis * (math.pi - rng.uniform(1e-13, math.pi - NEAR_PI)))
             np.testing.assert_allclose(
                 r.so3_log(rot), rotation.from_matrix(rot.m).as_rotvec(), rtol=0, atol=1e-13
             )
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is plain double on this platform")
+    @pytest.mark.parametrize("band", sorted(LOG_BANDS))
+    def test_log_round_trip_in_long_double(self, band):
+        # acos/sin of the trace loses eps/(pi - theta)^2, 2e-11 just below NEAR_PI; the quaternion formula stays near eps
+        rng = np.random.default_rng(sorted(LOG_BANDS).index(band))
+        worst = 0.0
+        for _ in range(300):
+            axis = rng.standard_normal(3)
+            axis /= np.linalg.norm(axis)
+            angle = LOG_BANDS[band](rng)
+            m = 2.0 * np.outer(axis, axis) - np.eye(3) if angle is None else r.so3_exp(axis * angle).m
+            err = np.abs(exp_longdouble(r.so3_log(m)) - m.astype(np.longdouble))
+            worst = max(worst, float(np.max(err)))
+        assert worst <= 2e-15
 
     def test_log_angle_in_range(self, rng):
         for _ in range(200):

@@ -14,9 +14,9 @@ import pytest
 
 import rigid3d as r
 from rigid3d import se3, so3, validation
-from rigid3d.so3 import NEAR_PI, SMALL_ANGLE, _apply_stack, _mul_stack
+from rigid3d.so3 import _apply_stack, _mul_stack
 
-from conftest import random_transform
+from conftest import NEAR_PI, SMALL_ANGLE, random_transform
 
 
 def counting(monkeypatch, target, name: str) -> list:
@@ -95,7 +95,7 @@ def test_a_raw_twist_is_rejected_as_before():
 def rotation_of_angle(rng, kind: str) -> np.ndarray:
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
-    if kind == "pi":  # exactly pi: symmetric, so so3_log takes its sign-tie branch
+    if kind == "pi":  # exactly pi: symmetric, so so3_log applies the quaternion sign rule at w = 0
         return 2.0 * np.outer(axis, axis) - np.eye(3)
     angle = {"zero": 0.0, "small": SMALL_ANGLE / 3.0, "mid": 1.3, "near_pi": NEAR_PI + 5e-3}[kind]
     return r.so3_exp(axis * angle).m

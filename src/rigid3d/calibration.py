@@ -53,6 +53,7 @@ class HandEyeResult:
     per_motion_translation_residuals: np.ndarray  # ||R_Ai t_X - t_X - (R_X t_Bi - t_Ai)||
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is rejected: by the H check, Transform or _rms
 def register_point_sets(p, q) -> RegistrationResult:
     """Least-squares rigid transform T minimizing sum ||T p_i - q_i||^2.
 
@@ -66,11 +67,10 @@ def register_point_sets(p, q) -> RegistrationResult:
     if p.shape[0] < 3:
         raise TooFewPoints("registration needs at least 3 point pairs")
 
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected below, before the SVD sees it
-        p_bar = p.mean(axis=0)
-        q_bar = q.mean(axis=0)
-        h = (p - p_bar).T @ (q - q_bar)
-    if not np.all(np.isfinite(h)):
+    p_bar = p.mean(axis=0)
+    q_bar = q.mean(axis=0)
+    h = (p - p_bar).T @ (q - q_bar)
+    if not np.all(np.isfinite(h)):  # rejected before the SVD sees it
         raise Rigid3dError("cross-covariance of the points overflows double precision")
     r, sigma, _ = _nearest_rotation(h)
     if sigma[1] < SINGULAR_RATIO * sigma[0]:  # sorted, so sigma[2] is below the ratio too
@@ -78,11 +78,11 @@ def register_point_sets(p, q) -> RegistrationResult:
     rot = _repair(r.T)  # for H = U S V^T this is Kabsch's V diag(1, 1, d) U^T
     t = q_bar - _apply(rot._e, p_bar.tolist())
     transform = Transform(rot, t)
-    with np.errstate(over="ignore"):  # an overflowing residual is left to _rms
-        residuals = _row_norms(_apply_stack(rot._e, p) + t - q)
+    residuals = _row_norms(_apply_stack(rot._e, p) + t - q)
     return RegistrationResult(transform, _rms(residuals), residuals)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing residual is rejected by _rms
 def pivot_calibrate(samples) -> PivotResult:
     """Tool-tip and pivot point from poses rotating about a fixed point.
 
@@ -109,6 +109,7 @@ def pivot_calibrate(samples) -> PivotResult:
     return PivotResult(tip, pivot, _rms(errs), errs)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is rejected: by Transform or _rms
 def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
     """Solve A_i X = X B_i for relative-motion pairs (A_i, B_i).
 
@@ -157,9 +158,8 @@ def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
 
 
 def _rms(errs: np.ndarray) -> float:
-    """Root mean square of residual norms; Rigid3dError where it overflows."""
-    with np.errstate(over="ignore"):
-        rms = math.sqrt(float(np.mean(errs**2)))
+    """Root mean square of residual norms; Rigid3dError where it overflows (silently, under the solvers' errstate)."""
+    rms = math.sqrt(float(np.mean(errs**2)))
     if not math.isfinite(rms):
         raise Rigid3dError("residual RMS overflows double precision")
     return rms
@@ -173,6 +173,6 @@ def _check_axis_diversity(alphas) -> None:
     if len(axes) < 2:
         raise DegenerateMotion("need at least 2 motions with nonzero rotation")
     x, y, z = (axes[1:] * axes[0]).T
-    angles = np.arccos(np.minimum(np.abs(x + y + z), 1.0))
-    if not np.any(angles > PARALLEL_AXIS_TOL):
+    # an axis is off the first by more than PARALLEL_AXIS_TOL where |cos| <= cos(PARALLEL_AXIS_TOL); a tie was, by arccos
+    if not np.any(np.abs(x + y + z) <= math.cos(PARALLEL_AXIS_TOL)):
         raise DegenerateMotion("all rotation axes are parallel: X is not unique")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -136,27 +136,27 @@ class RotationMatrix(_Value):
         return RotationMatrix(np.eye(3))
 
 
-@dataclass(frozen=True)
-class UnitQuaternion:
-    """Scalar-first unit quaternion (w, x, y, z).
+class UnitQuaternion(_Value):
+    """Scalar-first unit quaternion (w, x, y, z), its four components stored as floats.
 
     The constructor rejects norms off by more than 1e-6 and renormalizes
     the rest, so stored components are unit to machine precision.
     """
 
-    w: float
-    x: float
-    y: float
-    z: float
+    _fields = ("w", "x", "y", "z")
 
-    def __post_init__(self):
-        n = _quat_norm(self.w, self.x, self.y, self.z)
+    def __init__(self, w, x, y, z):
+        self.__post_init__(w, x, y, z)
+
+    def __post_init__(self, w, x, y, z):
+        w, x, y, z = float(w), float(x), float(y), float(z)  # so an overflowing square is inf, with no warning
+        n = _quat_norm(w, x, y, z)
         if not abs(n - 1.0) <= 1e-6:  # written so that a NaN norm is rejected
             raise NotUnitQuaternion(f"quaternion norm {n:.9g} deviates from 1 by more than 1e-6")
-        object.__setattr__(self, "w", float(self.w) / n)
-        object.__setattr__(self, "x", float(self.x) / n)
-        object.__setattr__(self, "y", float(self.y) / n)
-        object.__setattr__(self, "z", float(self.z) / n)
+        self.__dict__.update(w=w / n, x=x / n, y=y / n, z=z / n)
+
+    def _key(self):
+        return self.w, self.x, self.y, self.z
 
     @staticmethod
     def identity() -> "UnitQuaternion":
@@ -515,11 +515,8 @@ def _nearest_rotation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _quat_norm(w, x, y, z) -> float:
-    """Euclidean norm of a quaternion's components; inf where a square overflows."""
-    try:
-        return math.sqrt(w**2 + x**2 + y**2 + z**2)
-    except OverflowError:
-        return math.inf
+    """Euclidean norm of a quaternion's components, + and * only; inf where a square overflows."""
+    return math.sqrt(w * w + x * x + y * y + z * z)
 
 
 def _canonical(q: tuple) -> tuple:
@@ -583,7 +580,8 @@ def _repair_stack(ms: np.ndarray) -> np.ndarray:
 def _log_stack(ms: np.ndarray) -> np.ndarray:
     """so3_log of every element of a validated (n, 3, 3) stack, as (n, 3): _log's operations on column views.
 
-    atan2 is math's, element by element: NumPy's SIMD arctan2 may differ in the last bit between CPUs.
+    atan2 is math's, element by element, so each row is _log's bit for bit; math.atan2 itself can move a
+    last bit between libm code paths (ROADMAP item 1).
     """
     keys, qq = _shepperd_sums(*ms.reshape(-1, 9).T)
     i = np.arange(len(ms))

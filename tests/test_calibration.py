@@ -56,6 +56,12 @@ def synthetic_handeye(rng, n=10, rot_noise=0.0, trans_noise=0.0):
     return x0, a_list, b_list
 
 
+def huge_pose(rng):
+    """A random rotation and a translation of norm 1.5e308: a sum of two such translations overflows."""
+    u = rng.standard_normal(3)
+    return r.Transform(r.random_rotation(rng), 1.5e308 * (u / np.linalg.norm(u)))
+
+
 def seeded_registration(seed):
     """Index-paired point sets (p, q): 3 to 39 points, q a rigid motion of p, with noise on odd seeds."""
     rng = np.random.default_rng(seed)
@@ -191,6 +197,13 @@ class TestPivot:
         with pytest.raises(Rigid3dError, match="^residual RMS overflows double precision$"):
             r.pivot_calibrate(poses)
 
+    def test_overflowing_residual_sum_is_rejected_without_a_warning(self):
+        # R_i g + t_i - b overflows before the norm for seeds 11, 16, 18 and 19; the warnings filter is "error"
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            with pytest.raises(Rigid3dError, match="^residual RMS overflows double precision$"):
+                r.pivot_calibrate([huge_pose(rng) for _ in range(6)])
+
     def test_noise_bound(self, rng):
         # translation noise sigma 0.1 (mm scale), 50 poses: tip error stays below 0.1
         hits = 0
@@ -317,6 +330,15 @@ class TestHandEye:
         a_list, b_list = ([r.Transform(t.rotation, 1e200 * t.translation) for t in ts] for ts in (a_list, b_list))
         with pytest.raises(Rigid3dError, match="^residual RMS overflows double precision$"):
             r.hand_eye_calibrate(a_list, b_list)
+
+    def test_overflowing_translation_system_is_rejected_without_a_warning(self):
+        # R_X t_Bi - t_Ai overflows for 20 of these 40 seeds; the warnings filter is "error"
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            a_list = [huge_pose(rng) for _ in range(6)]
+            b_list = [huge_pose(rng) for _ in range(6)]
+            with pytest.raises(Rigid3dError):
+                r.hand_eye_calibrate(a_list, b_list)
 
     @pytest.mark.xfail(
         strict=True, raises=DegenerateMatrix, reason="known defect (ROADMAP item 2): 22 of 50 seeds raise DegenerateMatrix"

@@ -256,6 +256,13 @@ INPUT_ERRORS = {
     "pivot_residual_overflow": (
         ["pivot", "{path}"], HUGE_TRANSLATION_POSES, 2, "error: residual RMS overflows double precision"
     ),
+    # R_i g + t_i - b overflows before its norm is taken
+    "pivot_residual_sum_overflow": (
+        ["pivot", "{path}"],
+        "0,0,-1.5e308,0.6,0,0.8,0\n0,-1e308,1.7e308,0.5,0.5,0.5,0.5\n1.5e308,0,1.5e308,0.8,0,0.6,0\n",
+        2,
+        "error: residual RMS overflows double precision",
+    ),
     "handeye_residual_overflow": (
         ["handeye", "{path}", "{path}"], HUGE_TRANSLATION_POSES, 2, "error: residual RMS overflows double precision"
     ),
@@ -364,6 +371,8 @@ def test_leading_minus_word_is_an_option(token):
 # The last runs NumPy's own loops without their AVX-512 versions.
 OPENBLAS_CHILDREN = {
     "prescott": ("Prescott", (), {}),
+    # glibc's libm without its FMA code paths: math's functions and ** may round differently
+    "prescott_glibc_no_fma": ("Prescott", (), {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA"}),
     "sandybridge": ("Sandybridge", ("avx",), {}),
     "haswell": ("Haswell", ("avx2", "fma"), {}),
     "skylakex": ("SkylakeX", ("avx512f",), {}),

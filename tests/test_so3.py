@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import platform
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -326,6 +331,53 @@ class TestQuaternion:
         q[slot] = math.nan
         with pytest.raises(NotUnitQuaternion):
             r.UnitQuaternion(*q)
+
+
+# glibc picks its libm code path by the CPU's features; this tunable switches the FMA paths off for one process
+NO_FMA_LIBM = {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA"}
+# the bytes of x ** 2 on fixed floats, then those of the quaternion paths on seeded inputs, on stdout
+QUATERNION_BYTES = """
+import sys
+import numpy as np
+import rigid3d as r
+from rigid3d.pose_io import _pose_from_fields
+squares = [x ** 2 for x in np.random.default_rng(0).uniform(-1.01, 1.01, 100_000).tolist()]
+rng = np.random.default_rng(2027)
+quats = [r.matrix_to_quat(r.random_rotation(rng)) for _ in range(20_000)]
+g = rng.standard_normal((20_000, 4))
+unit = (g / np.sqrt((g * g).sum(axis=1, keepdims=True))).tolist()
+mats = [r.quat_to_matrix(r.UnitQuaternion(*q))._e for q in unit]
+fields = np.hstack([rng.uniform(-10.0, 10.0, (20_000, 3)), np.round(np.array(unit), 4)]).tolist()
+poses = [_pose_from_fields(f) for f in fields]
+rows = [[q.w, q.x, q.y, q.z] for q in quats] + mats + [t.rotation._e + t._t for t in poses]
+sys.stdout.buffer.write(np.array(squares).tobytes() + np.array([x for row in rows for x in row]).tobytes())
+"""
+
+
+def test_quaternion_bits_do_not_follow_the_libm_code_path():
+    # the quaternion norm is + and * and one sqrt, so no libm variant moves a bit (x ** 2 calls pow)
+    if platform.machine().lower() not in ("x86_64", "amd64") or platform.libc_ver()[0] != "glibc":
+        pytest.skip(f"the tunable selects glibc's x86-64 code paths; this is {platform.machine()} {platform.libc_ver()}")
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    default, no_fma = (
+        subprocess.run([sys.executable, "-c", QUATERNION_BYTES], capture_output=True, env=e, timeout=120, check=True).stdout
+        for e in (env, dict(env, **NO_FMA_LIBM))
+    )
+    squares = 100_000 * 8
+    if default[:squares] == no_fma[:squares]:
+        pytest.skip("the no-FMA libm gives the same x ** 2 as the default one on this host")
+    a, b = (np.frombuffer(out[squares:], dtype=np.float64) for out in (default, no_fma))
+    assert a.size == b.size == 20_000 * (4 + 9 + 12)
+    moved = {
+        name: int(np.count_nonzero((x != y).reshape(20_000, -1).any(axis=1)))
+        for name, x, y in zip(
+            ("matrix_to_quat", "quat_to_matrix", "_pose_from_fields"),
+            np.split(a, [80_000, 260_000]),
+            np.split(b, [80_000, 260_000]),
+        )
+    }
+    assert a.tobytes() == b.tobytes(), f"outputs of 20,000 that differ: {moved}"
 
 
 class TestEuler:

@@ -1,11 +1,13 @@
 """Value types store their floats: the scalar path builds no array, and each public array is built once from the floats.
 
-RotationMatrix, Transform, Twist, Wrench and EulerAngles keep their
-elements as Python floats. The scalar functions read and write those
-floats; .m, .translation, .v, .w, .f, .tau and .angles are read-only
-arrays built on first access and cached.
+RotationMatrix, Transform, Twist, Wrench, EulerAngles and UnitQuaternion
+keep their elements as Python floats. The scalar functions read and
+write those floats; .m, .translation, .v, .w, .f, .tau and .angles are
+read-only arrays built on first access and cached. UnitQuaternion has
+no array: its .w, .x, .y and .z are the floats themselves.
 """
 
+import dataclasses
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -164,6 +166,9 @@ def test_equality_compares_the_stored_floats(rng):
     assert r.Twist([1, 2, 3], [4, 5, 6]) != r.Wrench([1, 2, 3], [4, 5, 6])
     assert r.Transform(m, t) != r.Transform(m, t + 1.0)
     assert len({a, b, r.inverse(a)}) == 2
+    q = r.matrix_to_quat(a.rotation)
+    assert q == r.UnitQuaternion(q.w, q.x, q.y, q.z) and hash(q) == hash(r.UnitQuaternion(*q.components()))
+    assert q != r.quat_inverse(q) and q != (q.w, q.x, q.y, q.z)
 
 
 def test_values_are_frozen_and_pickle(rng):
@@ -174,6 +179,13 @@ def test_values_are_frozen_and_pickle(rng):
         del t.rotation
     back = pickle.loads(pickle.dumps(t))
     assert back == t and back.rotation.m.tobytes() == t.rotation.m.tobytes()
+    q = r.matrix_to_quat(t.rotation)
+    with pytest.raises(FrozenInstanceError):
+        q.w = 1.0
+    with pytest.raises(FrozenInstanceError):
+        del q.x
+    back = pickle.loads(pickle.dumps(q))
+    assert back == q and (back.w, back.x, back.y, back.z) == (q.w, q.x, q.y, q.z)
 
 
 def test_repr_shows_the_public_arrays():
@@ -184,6 +196,8 @@ def test_repr_shows_the_public_arrays():
     assert repr(r.EulerAngles([1, 2, 3])) == (
         "EulerAngles(angles=array([1., 2., 3.]), convention=<EulerConvention.ZYX_INTRINSIC: 'zyx_intrinsic'>)"
     )
+    assert repr(r.UnitQuaternion.identity()) == "UnitQuaternion(w=1.0, x=0.0, y=0.0, z=0.0)"
+    assert not dataclasses.is_dataclass(r.UnitQuaternion.identity())
 
 
 def test_single_operand_enters_as_floats(rng):

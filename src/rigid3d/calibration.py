@@ -6,11 +6,11 @@ estimator wrappers live in :mod:`rigid3d.estimators`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import (
     DegenerateGeometry,
     DegenerateMatrix,
@@ -28,6 +28,17 @@ SINGULAR_RATIO = 1e-9
 MAX_CONDITION = 1e8
 PARALLEL_AXIS_TOL = 1e-6
 MTM_RATIO = 1e-12
+
+
+def _overflow_ignored(solver):
+    """solver under np.errstate(over="ignore", invalid="ignore"), entered at each call: importing this module loads no NumPy."""
+
+    @functools.wraps(solver)
+    def run(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return solver(*args, **kwargs)
+
+    return run
 
 
 @dataclass(frozen=True)
@@ -53,7 +64,7 @@ class HandEyeResult:
     per_motion_translation_residuals: np.ndarray  # ||R_Ai t_X - t_X - (R_X t_Bi - t_Ai)||
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is rejected: by the H check, Transform or _rms
+@_overflow_ignored  # an overflow is rejected: by the H check, Transform or _rms
 def register_point_sets(p, q) -> RegistrationResult:
     """Least-squares rigid transform T minimizing sum ||T p_i - q_i||^2.
 
@@ -82,7 +93,7 @@ def register_point_sets(p, q) -> RegistrationResult:
     return RegistrationResult(transform, _rms(residuals), residuals)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing residual is rejected by _rms
+@_overflow_ignored  # an overflowing residual is rejected by _rms
 def pivot_calibrate(samples) -> PivotResult:
     """Tool-tip and pivot point from poses rotating about a fixed point.
 
@@ -109,7 +120,7 @@ def pivot_calibrate(samples) -> PivotResult:
     return PivotResult(tip, pivot, _rms(errs), errs)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is rejected: by Transform or _rms
+@_overflow_ignored  # an overflow is rejected: by Transform or _rms
 def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
     """Solve A_i X = X B_i for relative-motion pairs (A_i, B_i).
 

@@ -12,9 +12,8 @@ import math
 import re
 import sys
 
-import numpy as np
-
 from . import __version__
+from . import _numpy as np
 from .calibration import hand_eye_calibrate, pivot_calibrate, register_point_sets
 from .errors import (
     DegenerateGeometry,
@@ -25,8 +24,8 @@ from .errors import (
     Rigid3dError,
 )
 from .pose_io import _pose_fields, _pose_from_fields, parse_points_csv, parse_pose_csv, relative_motions, report_json
-from .se3 import Transform, Twist, compose, se3_exp, se3_log, to_matrix4
-from .so3 import EulerConvention, UnitQuaternion, matrix_to_euler, quat_to_matrix, so3_log
+from .se3 import Transform, _matrix4, _transform, _twist, compose, se3_exp, se3_log
+from .so3 import EulerConvention, UnitQuaternion, _log, matrix_to_euler, quat_to_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -133,19 +132,15 @@ def _residuals(rms: float, errs: np.ndarray) -> dict:
 def _cmd_convert(args):
     t = _single_pose(args)
     if args.to == "matrix4":
-        result = {"matrix4": to_matrix4(t).tolist()}
+        result = {"matrix4": _matrix4(t)}
     elif args.to == "quat":
         result = {"pose": _pose_fields(t)}
     elif args.to == "euler-zyx":
         euler, locked = matrix_to_euler(t.rotation, EulerConvention.ZYX_INTRINSIC)
-        roll, pitch, yaw = euler.angles
-        result = {
-            "euler_zyx": {"roll": float(roll), "pitch": float(pitch), "yaw": float(yaw)},
-            "gimbal_lock": locked,
-            "translation": t.translation.tolist(),
-        }
+        roll, pitch, yaw = euler._a
+        result = {"euler_zyx": {"roll": roll, "pitch": pitch, "yaw": yaw}, "gimbal_lock": locked, "translation": t._t}
     else:
-        result = {"rotvec": so3_log(t.rotation).tolist(), "translation": t.translation.tolist()}
+        result = {"rotvec": _log(t.rotation._e), "translation": t._t}
     return result, None, f"converted pose to {args.to}"
 
 
@@ -155,7 +150,7 @@ def _cmd_compose(args):
         if "," in item:
             # straight to UnitQuaternion: its 1e-6 gate, not the pose-file tolerance
             vals = _inline_floats(item, 7, "inline pose")
-            poses = [Transform(quat_to_matrix(UnitQuaternion(*vals[3:])), vals[:3])]
+            poses = [_transform(quat_to_matrix(UnitQuaternion(*vals[3:])), vals[:3])]
         else:
             poses = _load_poses(item)
             if not poses:
@@ -166,15 +161,15 @@ def _cmd_compose(args):
 
 
 def _cmd_exp(args):
-    xi = Twist.from_array(_inline_floats(args.twist, 6, "--twist"))
-    t = se3_exp(xi)
+    vals = _inline_floats(args.twist, 6, "--twist")
+    t = se3_exp(_twist(vals[:3], vals[3:]))
     return {"pose": _pose_fields(t)}, None, "exponential map applied"
 
 
 def _cmd_log(args):
     t = _single_pose(args)
     xi = se3_log(t)
-    return {"twist": xi.as_array().tolist()}, None, "logarithm map applied"
+    return {"twist": xi._v + xi._w}, None, "logarithm map applied"
 
 
 def _cmd_register(args):

@@ -8,8 +8,7 @@ the NumPy-only footprint.
 
 from __future__ import annotations
 
-import numpy as np
-
+from . import _numpy as np
 from .calibration import hand_eye_calibrate, pivot_calibrate, register_point_sets
 from .errors import Rigid3dError
 from .se3 import _build_transforms, _compose_stack, _stack_transforms, inverse

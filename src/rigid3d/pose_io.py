@@ -14,10 +14,9 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import NonUnitQuaternion, ParseError, TooFewPoses
-from .se3 import Transform, _build_transforms, _compose_stack, _inverse_stack, _stack_transforms
+from .se3 import Transform, _build_transforms, _compose_stack, _inverse_stack, _stack_transforms, _transform
 from .so3 import UnitQuaternion, _quat_norm, matrix_to_quat, quat_to_matrix
 from .validation import check_matrix
 
@@ -54,7 +53,7 @@ def _parse_floats(lineno: int, line: str, count: int):
 
 
 def _pose_from_fields(values, lineno: int = 0) -> Transform:
-    """Transform of the seven pose fields, with the quaternion renormalized.
+    """Transform of the seven pose fields, given as floats, with the quaternion renormalized.
 
     A norm off 1 by more than QUAT_REJECT_TOL raises NonUnitQuaternion at lineno.
     """
@@ -62,13 +61,13 @@ def _pose_from_fields(values, lineno: int = 0) -> Transform:
     norm = _quat_norm(qw, qx, qy, qz)
     if abs(norm - 1.0) > QUAT_REJECT_TOL:
         raise NonUnitQuaternion(lineno, norm)
-    return Transform(quat_to_matrix(UnitQuaternion(qw / norm, qx / norm, qy / norm, qz / norm)), (tx, ty, tz))
+    return _transform(quat_to_matrix(UnitQuaternion(qw / norm, qx / norm, qy / norm, qz / norm)), [tx, ty, tz])
 
 
 def _pose_fields(t: Transform) -> dict:
     """The seven pose fields of a Transform, keyed and ordered as POSE_HEADER."""
     q = matrix_to_quat(t.rotation)
-    tx, ty, tz = t.translation
+    tx, ty, tz = t._t
     return dict(zip(POSE_HEADER.split(","), (tx, ty, tz, q.w, q.x, q.y, q.z)))
 
 

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import InvalidHomogeneousRow, NotARotation
 from .so3 import (
     SERIES_ANGLE,
@@ -191,10 +190,12 @@ def _act(t: Transform, a: list[float], b: list[float]) -> tuple[list[float], lis
 
 
 def to_matrix4(t: Transform) -> np.ndarray:
-    out = np.eye(4)
-    out[:3, :3] = _rows(t.rotation._e)
-    out[:3, 3] = t._t
-    return out
+    return np.array(_matrix4(t))
+
+
+def _matrix4(t: Transform) -> list[list[float]]:
+    """The four rows of the homogeneous matrix [[R, t], [0, 1]], as floats."""
+    return [[*row, x] for row, x in zip(_rows(t.rotation._e), t._t)] + [[0.0, 0.0, 0.0, 1.0]]
 
 
 def from_matrix4(m) -> Transform:

@@ -15,8 +15,7 @@ import enum
 import math
 from dataclasses import FrozenInstanceError
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import (
     DegenerateMatrix,
     NotARotation,
@@ -435,13 +434,13 @@ def _transpose(e) -> list:
 
 
 def _repair(m) -> RotationMatrix:
-    """RotationMatrix of a computed rotation, given as its nine row-major floats or as a (3, 3) array.
+    """RotationMatrix of a computed rotation, given as a list of its nine row-major floats or as a (3, 3) array.
 
     The one drift measurement decides: a rotation within ORTHO_TOL keeps its
     floats, one past it is re-projected onto SO(3), and RotationMatrix then
     raises for a determinant off +1, a NaN drift or a non-finite element.
     """
-    e = m.ravel().tolist() if isinstance(m, np.ndarray) else m
+    e = m if isinstance(m, list) else m.ravel().tolist()
     drift2, det = _defects(*e)
     if math.sqrt(drift2) <= ORTHO_TOL and abs(det - 1.0) <= ORTHO_TOL:
         return _new(RotationMatrix, _e=e)
@@ -538,8 +537,8 @@ def _canonical(q: tuple) -> tuple:
 
 
 def _columns(x, size: int):
-    """An operand of _mul_stack or _apply_stack: a stack as the columns of its (n, size) view, a single element's floats as they are."""
-    return x.reshape(-1, size).T if isinstance(x, np.ndarray) else x
+    """An operand of _mul_stack or _apply_stack: a stack as the columns of its (n, size) view, a single element's float list as it is."""
+    return x if isinstance(x, list) else x.reshape(-1, size).T
 
 
 def _mul_stack(a, b) -> np.ndarray:

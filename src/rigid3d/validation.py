@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
-
+from . import _numpy as np
 from .errors import Rigid3dError
 
 

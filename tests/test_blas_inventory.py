@@ -80,15 +80,19 @@ def all_sites() -> collections.Counter:
 
 
 def test_numpy_is_imported_only_as_np():
-    # an alias (from numpy.linalg import svd, import numpy as xp) would hide a site from the inventory
+    # an alias (from numpy.linalg import svd, import numpy as xp) would hide a site from the inventory;
+    # only the lazy-import point _numpy.py imports numpy itself, and every other module takes it from there as np
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom):
-                assert not (node.module or "").startswith("numpy"), path.name
+                assert not (node.module or "").startswith(("numpy", "_numpy")), path.name
+                for alias in node.names:
+                    if alias.name == "_numpy":
+                        assert (node.module, node.level, alias.asname) == (None, 1, "np"), path.name
             elif isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name.startswith("numpy"):
-                        assert (alias.name, alias.asname) == ("numpy", "np"), path.name
+                        assert path.name == "_numpy.py" and (alias.name, alias.asname) == ("numpy", "np"), path.name
 
 
 def test_blas_and_lapack_sites():

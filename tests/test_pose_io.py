@@ -11,6 +11,7 @@ from rigid3d.pose_io import (
     serialize_points_csv,
     serialize_pose_csv,
 )
+from rigid3d.so3 import _quat_norm
 
 from conftest import random_transform
 
@@ -49,6 +50,23 @@ class TestParsePoses:
         poses = parse_pose_csv(io.StringIO("0,0,0,1.0001,0,0,0\n"))
         # (1.0001, 0, 0, 0) divided by its norm is exactly (1, 0, 0, 0)
         assert np.array_equal(poses[0].rotation.m, np.eye(3))
+
+    def test_floats_match_the_public_constructors(self):
+        # parsing builds each Transform from its floats; they are those of the public constructors, bit for bit
+        rng = np.random.default_rng(2121)
+        q = rng.standard_normal((1000, 4))
+        q /= np.sqrt((q * q).sum(axis=1, keepdims=True))
+        q *= rng.uniform(1.0 - 5e-4, 1.0 + 5e-4, (1000, 1))  # drift within QUAT_REJECT_TOL, renormalized
+        rows = np.hstack([rng.uniform(-100.0, 100.0, (1000, 3)), q]).tolist()
+        poses = parse_pose_csv(io.StringIO("".join(",".join(map(repr, row)) + "\n" for row in rows)))
+        assert len(poses) == 1000
+        for pose, (tx, ty, tz, *quat) in zip(poses, rows):
+            n = _quat_norm(*quat)
+            want = r.Transform(r.quat_to_matrix(r.UnitQuaternion(*(c / n for c in quat))), np.array([tx, ty, tz]))
+            assert (pose.rotation._e, pose._t) == (want.rotation._e, want._t)
+            t = pose.translation
+            assert (t.dtype, t.shape, t.flags.writeable) == (np.float64, (3,), False)
+            assert t.tolist() == [tx, ty, tz]
 
 
 class TestParsePoints:

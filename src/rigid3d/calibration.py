@@ -113,7 +113,7 @@ def pivot_calibrate(samples) -> PivotResult:
 
     sol, _, _, sv = np.linalg.lstsq(a, rhs, rcond=None)
     # cond(A^T A) = (s_max / s_min)^2, compared without dividing so rank deficiency is rejected too
-    if sv[0] ** 2 > MAX_CONDITION * sv[-1] ** 2:
+    if sv[0] * sv[0] > MAX_CONDITION * (sv[-1] * sv[-1]):
         raise DegenerateMotion("insufficient rotational diversity: tip and pivot are not separable")
     tip, pivot = sol[:3], sol[3:]
     errs = _row_norms(_apply_stack(rs, tip.tolist()) + ts - pivot)
@@ -144,7 +144,7 @@ def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
     # summed along axis 0 in order, as a running sum of outer products would be
     m = (betas[:, :, None] * alphas[:, None, :]).sum(axis=0)
     r, s, sign = _nearest_rotation(m.T)  # the eigenvalues of M^T M are s^2
-    if s[2] ** 2 < MTM_RATIO * max(s[0] ** 2, 1.0):
+    if s[2] * s[2] < MTM_RATIO * max(s[0] * s[0], 1.0):
         raise DegenerateMotion("rotation axes are not diverse enough to determine X")
     if sign < 0:  # r is then the nearest rotation to M^T, not its polar factor
         raise DegenerateMatrix("the polar factor of M is a reflection: no rotation X solves the motion pairs")
@@ -170,7 +170,7 @@ def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
 
 def _rms(errs: np.ndarray) -> float:
     """Root mean square of residual norms; Rigid3dError where it overflows (silently, under the solvers' errstate)."""
-    rms = math.sqrt(float(np.mean(errs**2)))
+    rms = math.sqrt(float(np.mean(errs * errs)))
     if not math.isfinite(rms):
         raise Rigid3dError("residual RMS overflows double precision")
     return rms

@@ -8,6 +8,7 @@ adjoint of T = (R, t) acting on that ordering is the 6x6 block matrix
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from . import _numpy as np
 from .errors import InvalidHomogeneousRow, NotARotation
@@ -17,8 +18,8 @@ from .so3 import (
     _apply,
     _apply_stack,
     _defects,
+    _Array,
     _finite,
-    _forms,
     _hat,
     _log,
     _mul,
@@ -33,14 +34,14 @@ from .so3 import (
     _transpose,
     _Value,
 )
-from .validation import check_matrix, freeze
+from .validation import check_matrix, floats
 
 
 class Transform(_Value):
     """SE(3) element stored as (rotation, translation)."""
 
     _fields = ("rotation", "translation")
-    translation, _t = _forms("translation", "_t", (3,))
+    translation = _Array("_t", (3,))
 
     def __init__(self, rotation, translation):
         self.__post_init__(rotation, translation)
@@ -48,28 +49,27 @@ class Transform(_Value):
     def __post_init__(self, rotation, translation):
         if not isinstance(rotation, RotationMatrix):
             rotation = RotationMatrix(rotation)
-        self.__dict__.update(rotation=rotation, translation=freeze(translation, (3,), "translation"))
+        self.__dict__.update(rotation=rotation, _t=floats(translation, (3,), "translation"))
 
     def _key(self):
         return self.rotation._key(), tuple(self._t)
 
     @staticmethod
     def identity() -> "Transform":
-        return Transform(RotationMatrix.identity(), np.zeros(3))
+        return _new(Transform, rotation=RotationMatrix.identity(), _t=[0.0, 0.0, 0.0])
 
 
 class Twist(_Value):
     """se(3) element: linear part v first, angular part w second."""
 
     _fields = ("v", "w")
-    v, _v = _forms("v", "_v", (3,))
-    w, _w = _forms("w", "_w", (3,))
+    v, w = _Array("_v", (3,)), _Array("_w", (3,))
 
     def __init__(self, v, w):
         self.__post_init__(v, w)
 
     def __post_init__(self, v, w):
-        self.__dict__.update(v=freeze(v, (3,), "twist linear part"), w=freeze(w, (3,), "twist angular part"))
+        self.__dict__.update(_v=floats(v, (3,), "twist linear part"), _w=floats(w, (3,), "twist angular part"))
 
     def _key(self):
         return tuple(self._v), tuple(self._w)
@@ -87,14 +87,13 @@ class Wrench(_Value):
     """Force f first, moment tau second."""
 
     _fields = ("f", "tau")
-    f, _f = _forms("f", "_f", (3,))
-    tau, _tau = _forms("tau", "_tau", (3,))
+    f, tau = _Array("_f", (3,)), _Array("_tau", (3,))
 
     def __init__(self, f, tau):
         self.__post_init__(f, tau)
 
     def __post_init__(self, f, tau):
-        self.__dict__.update(f=freeze(f, (3,), "force"), tau=freeze(tau, (3,), "torque"))
+        self.__dict__.update(_f=floats(f, (3,), "force"), _tau=floats(tau, (3,), "torque"))
 
     def _key(self):
         return tuple(self._f), tuple(self._tau)
@@ -138,12 +137,13 @@ def _v_inverse(w: list[float]) -> list[float]:
     """The nine elements of V(w)^-1 = I - K/2 + c K^2."""
     theta = math.sqrt(_sq(*w))
     k = _hat(w)
+    t2 = theta * theta
     if theta < SERIES_ANGLE:
-        c = 1.0 / 12.0 + theta**2 / 720.0 + theta**4 / 30240.0
+        c = 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
     else:
         # 1/theta^2 - (1 + cos)/(2 theta sin), written via cot(theta/2)
         half = theta / 2.0
-        c = (1.0 - half * math.cos(half) / math.sin(half)) / theta**2
+        c = (1.0 - half * math.cos(half) / math.sin(half)) / t2
     return _series(-0.5, c, k, _mul(k, k))  # e - x/2 is e + (-x/2) exactly
 
 
@@ -212,11 +212,11 @@ def from_matrix4(m) -> Transform:
 
 
 def _stack_transforms(transforms) -> tuple[np.ndarray, np.ndarray]:
-    """Rotations (n, 3, 3) and translations (n, 3) of an iterable of Transforms."""
+    """Rotations (n, 3, 3) and translations (n, 3) of an iterable of Transforms, from their stored floats."""
     transforms = list(transforms)
-    rs = np.array([t.rotation.m for t in transforms]).reshape(-1, 3, 3)
-    ts = np.array([t.translation for t in transforms]).reshape(-1, 3)
-    return rs, ts
+    rs = np.fromiter(chain.from_iterable([t.rotation._e for t in transforms]), float, 9 * len(transforms))
+    ts = np.fromiter(chain.from_iterable([t._t for t in transforms]), float, 3 * len(transforms))
+    return rs.reshape(-1, 3, 3), ts.reshape(-1, 3)
 
 
 def _inverse_stack(rs, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +242,7 @@ def _build_transforms(rs: np.ndarray, ts: np.ndarray) -> list[Transform]:
 
     Each stack gets the value types' shape and finiteness check once; the
     rotations' orthogonality is not measured again element by element.
-    Each value keeps its rows of the frozen stacks as its arrays.
+    Each value stores its rows' floats.
     """
-    rs, ts = freeze(rs, (None, 3, 3), "rotation matrix"), freeze(ts, (None, 3), "translation")
-    return [_new(Transform, rotation=_new(RotationMatrix, m=m), translation=t) for m, t in zip(rs, ts)]
+    es, ts = floats(rs.reshape(-1, 9), (None, 9), "rotation matrix"), floats(ts, (None, 3), "translation")
+    return [_new(Transform, rotation=_new(RotationMatrix, _e=e), _t=t) for e, t in zip(es, ts)]

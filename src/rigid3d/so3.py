@@ -24,25 +24,22 @@ from .errors import (
     Rigid3dError,
     UnsupportedConvention,
 )
-from .validation import check_matrix, freeze
+from .validation import check_matrix, floats
 
 ORTHO_TOL = 1e-9
 SERIES_ANGLE = 1e-4  # exp, V and V^-1 take Taylor series below this angle, where their closed forms cancel
-NEAR_LOCK = math.pi / 2 - 1e-2  # asin loses eps/(pi/2 - |pitch|); matrix_to_euler takes pitch from atan2 above this
-EXP_MAX_COMPONENT = 1e100  # exp rejects larger |w_i|: the norm, and theta**3 below, would overflow past ~1e102
+EXP_MAX_COMPONENT = 1e100  # exp rejects larger |w_i|: the norm, and the cube of theta below, would overflow past ~1e102
 
 
 class _Value:
-    """Immutable value that stores its elements as floats or as arrays; equal to a value of its class with equal floats.
+    """Immutable value that stores its elements as Python floats; equal to a value of its class with equal floats.
 
-    The scalar functions read and write Python floats; callers and the
-    stacked kernels read the public read-only arrays. A value holds the
-    form it was made in, and the other is built from it on first access
-    and then kept (_forms). A public constructor keeps the one validated
-    read-only copy of each caller's array; its __init__ hands the
-    arguments to __post_init__, the validating step (the name perfbench's
-    tracer counts). The scalar functions make values of floats alone, and
-    _build_transforms of stack rows alone, through _new.
+    The scalar functions read and write the floats. Each public array is
+    built from them on first access and then kept (_Array), and pickling
+    leaves it out. A public constructor's __init__ hands the arguments to
+    __post_init__, the validating step (the name perfbench's tracer
+    counts); the library makes values of floats it computed and checked
+    through _new.
     """
 
     _fields: tuple  # the public attributes, in constructor order, for repr
@@ -62,33 +59,30 @@ class _Value:
     def __repr__(self):
         return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if not isinstance(getattr(type(self), k, None), _Array)}
 
-class _Form:
-    """One form of a value's elements, built on first access from the form the value holds, then kept in its __dict__."""
 
-    def __init__(self, name: str, build):
-        self.name, self.build = name, build
+class _Array:
+    """A value's public read-only float64 array of the given shape, built from its stored floats on first access, then kept."""
+
+    def __init__(self, stored: str, shape: tuple):
+        self.stored, self.shape = stored, shape
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
 
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        value = obj.__dict__[self.name] = self.build(obj.__dict__)
-        return value
-
-
-def _forms(array: str, floats: str, shape: tuple) -> tuple[_Form, _Form]:
-    """A public read-only array and the floats of the same elements, row-major: each is built from the other."""
-
-    def to_array(stored: dict) -> np.ndarray:
-        arr = np.array(stored[floats])
+        arr = np.array(obj.__dict__[self.stored])
         arr.setflags(write=False)
-        return arr.reshape(shape)
-
-    return _Form(array, to_array), _Form(floats, lambda stored: stored[array].ravel().tolist())
+        arr = obj.__dict__[self.name] = arr.reshape(self.shape)
+        return arr
 
 
 def _finite(v: list, name: str) -> list:
-    """A computed 3-vector's floats, checked as freeze checks a stored array: v itself, or the same Rigid3dError."""
+    """A computed 3-vector's floats, checked as floats() checks a caller's vector: v itself, or the same Rigid3dError."""
     x, y, z = v
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise Rigid3dError(f"{name} contains non-finite values")
@@ -96,7 +90,7 @@ def _finite(v: list, name: str) -> list:
 
 
 def _new(cls, **stored):
-    """A value of cls holding the given forms of what the library computed and checked: no validation, no other form."""
+    """A value of cls holding the given floats (and rotation or convention), computed and checked by the library: no validation."""
     obj = object.__new__(cls)
     obj.__dict__.update(stored)
     return obj
@@ -109,14 +103,15 @@ class RotationMatrix(_Value):
     """
 
     _fields = ("m",)
-    m, _e = _forms("m", "_e", (3, 3))
+    m = _Array("_e", (3, 3))
 
     def __init__(self, m):
         self.__post_init__(m)
 
     def __post_init__(self, m):
-        m = np.array(m, dtype=float)
-        drift2, det = _defects(*m.ravel().tolist()) if m.shape == (3, 3) else (math.nan, math.nan)
+        m = np.asarray(m, dtype=float)
+        e = m.ravel().tolist() if m.shape == (3, 3) else [math.nan] * 9  # a wrong shape is named below, not listed
+        drift2, det = _defects(*e)
         # A drift within ORTHO_TOL implies nine finite elements, so this test is also the finiteness test;
         # written so that a NaN drift or determinant (overflow) is rejected.
         if not math.sqrt(drift2) <= ORTHO_TOL:
@@ -124,15 +119,14 @@ class RotationMatrix(_Value):
             raise NotARotation("matrix is not orthogonal within 1e-9")
         if not abs(det - 1.0) <= ORTHO_TOL:
             raise NotARotation("matrix determinant is not +1 within 1e-9")
-        m.setflags(write=False)
-        self.__dict__["m"] = m
+        self.__dict__["_e"] = e
 
     def _key(self):
         return tuple(self._e)
 
     @staticmethod
     def identity() -> "RotationMatrix":
-        return RotationMatrix(np.eye(3))
+        return _new(RotationMatrix, _e=[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
 
 
 class UnitQuaternion(_Value):
@@ -185,14 +179,14 @@ class EulerAngles(_Value):
     """
 
     _fields = ("angles", "convention")
-    angles, _a = _forms("angles", "_a", (3,))
+    angles = _Array("_a", (3,))
 
     def __init__(self, angles, convention: EulerConvention = EulerConvention.ZYX_INTRINSIC):
         self.__post_init__(angles, convention)
 
     def __post_init__(self, angles, convention):
         _check_convention(convention)
-        self.__dict__.update(angles=freeze(angles, (3,), "euler angles"), convention=convention)
+        self.__dict__.update(_a=floats(angles, (3,), "euler angles"), convention=convention)
 
     def _key(self):
         return tuple(self._a), self.convention
@@ -298,15 +292,13 @@ def matrix_to_euler(
 ) -> tuple[EulerAngles, bool]:
     """Extract Euler angles; second return value flags gimbal lock.
 
-    Within 1e-7 of |pitch| == pi/2 the roll is set to 0 and yaw absorbs
-    the remaining degree of freedom. Above NEAR_LOCK the pitch comes from
-    atan2(-m20, hypot(m00, m10)), which stays exact where asin loses
-    digits.
+    The pitch is atan2(-m20, hypot(m00, m10)) at every angle, accurate to
+    an ulp even near +-pi/2, where asin(-m20) would lose digits. Within
+    1e-7 of |pitch| == pi/2 the roll is set to 0 and yaw absorbs the
+    remaining degree of freedom.
     """
     m00, m01, _, m10, m11, _, m20, m21, m22 = _as_rotation(r_mat)
-    pitch = math.asin(max(-1.0, min(1.0, -m20)))
-    if abs(pitch) > NEAR_LOCK:
-        pitch = math.atan2(-m20, math.hypot(m00, m10))
+    pitch = math.atan2(-m20, math.hypot(m00, m10))
     if (math.pi / 2.0) - abs(pitch) < 1e-7:
         roll = 0.0
         yaw = math.atan2(-m01, m11)
@@ -316,7 +308,7 @@ def matrix_to_euler(
         yaw = math.atan2(m10, m00)
         locked = False
     _check_convention(convention)
-    return _new(EulerAngles, _a=[roll, pitch, yaw], convention=convention), locked  # asin and atan2 are finite
+    return _new(EulerAngles, _a=[roll, pitch, yaw], convention=convention), locked  # atan2 is finite
 
 
 def rotate(r_mat: RotationMatrix, v) -> np.ndarray:
@@ -374,11 +366,12 @@ def _rodrigues(w: list[float], v: list[float] | None = None) -> tuple[RotationMa
     if theta > EXP_MAX_COMPONENT and max(map(abs, w)) > EXP_MAX_COMPONENT:
         raise Rigid3dError(f"rotation vector component beyond {EXP_MAX_COMPONENT:g} in magnitude")
     k = _hat(w)
+    t2 = theta * theta
     if theta < SERIES_ANGLE:
-        a, b, c = 1.0 - theta**2 / 6.0, 0.5 - theta**2 / 24.0, 1.0 / 6.0 - theta**2 / 120.0
+        a, b, c = 1.0 - t2 / 6.0, 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0
     else:
         sin = math.sin(theta)
-        a, b, c = sin / theta, (1.0 - math.cos(theta)) / theta**2, (theta - sin) / theta**3
+        a, b, c = sin / theta, (1.0 - math.cos(theta)) / t2, (theta - sin) / (t2 * theta)
     k2 = _mul(k, k)
     return _repair(_series(a, b, k, k2)), None if v is None else _apply(_series(b, c, k, k2), v)
 

@@ -11,11 +11,9 @@ def check_matrix(x, shape: tuple, name: str = "matrix") -> np.ndarray:
     return _checked(np.asarray(x, dtype=float), shape, name)
 
 
-def freeze(x, shape: tuple, name: str) -> np.ndarray:
-    """check_matrix on one read-only float64 copy of x: the array a value type stores."""
-    arr = _checked(np.array(x, dtype=float), shape, name)
-    arr.setflags(write=False)
-    return arr
+def floats(x, shape: tuple, name: str) -> list:
+    """check_matrix's test of x, then its elements as Python floats, in lists nested as x's axes: what a value type stores."""
+    return _checked(np.asarray(x, dtype=float), shape, name).tolist()
 
 
 def _checked(arr: np.ndarray, shape: tuple, name: str) -> np.ndarray:

@@ -21,7 +21,8 @@ the same on every CPU: glibc picks its libm code path by the CPU's
 features, and math.sin, math.cos, math.asin, math.atan2 and ** change in
 the last bit on some inputs when its FMA paths are switched off
 (GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA). math.sqrt and math.hypot
-did not (ROADMAP item 1).
+did not (ROADMAP item 1). So src/ raises nothing to a power: x * x is
+one correctly rounded product on every CPU, and pow is not.
 
 These inventories make each new site a visible change on every host, not
 only on one whose kernel differs from the goldens'.
@@ -101,3 +102,15 @@ def test_blas_and_lapack_sites():
 
 def test_numpy_transcendental_sites():
     assert {k: n for k, n in all_sites().items() if k[2] in NUMPY_TRANSCENDENTALS} == EXPECTED_TRANSCENDENTALS
+
+
+def test_no_power_in_src():
+    # the operator and the builtin and math forms alike; np.power is a listed transcendental above
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+                found.append(f"{path.name}:{node.lineno} **")
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("pow", "math.pow"):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node.func)}")
+    assert found == []

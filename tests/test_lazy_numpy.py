@@ -70,6 +70,11 @@ def test_import_loads_no_numpy(module):
     assert child(f"import sys, {module}; print('numpy' in sys.modules)") == "False\n"
 
 
+def test_identity_loads_no_numpy():
+    # identity is built from floats, as the scalar functions build their values
+    assert child("import sys, rigid3d; rigid3d.Transform.identity(); print('numpy' in sys.modules)") == "False\n"
+
+
 @pytest.mark.parametrize("name", sorted(SCALAR_COMMANDS))
 def test_scalar_command_loads_no_numpy(name):
     assert child(RUN_AND_REPORT.format(argv=SCALAR_COMMANDS[name])) == "0 False\n"

@@ -21,9 +21,9 @@ from rigid3d.so3 import _apply_stack, _mul_stack
 from conftest import NEAR_PI, SMALL_ANGLE, random_transform
 
 
-def counting(monkeypatch, target, name: str) -> list:
-    """Patch target.name with a wrapper that records each call."""
-    calls = []
+def counting(monkeypatch, target, name: str, calls: list | None = None) -> list:
+    """Patch target.name with a wrapper that records each call, in calls when given."""
+    calls = [] if calls is None else calls
     real = getattr(target, name)
 
     def wrapper(*args, **kwargs):
@@ -35,17 +35,17 @@ def counting(monkeypatch, target, name: str) -> list:
 
 
 def array_builds(monkeypatch) -> list:
-    """Count np.array, np.asarray and freeze, wherever the library holds freeze."""
+    """Count np.array, np.asarray and floats, wherever the library holds floats."""
     calls = counting(monkeypatch, np, "array")
-    calls += counting(monkeypatch, np, "asarray")
-    real = validation.freeze
+    counting(monkeypatch, np, "asarray", calls)
+    real = validation.floats
 
-    def freeze(*args, **kwargs):
-        calls.append("freeze")
+    def floats(*args, **kwargs):
+        calls.append("floats")
         return real(*args, **kwargs)
 
     for module in (validation, so3, se3):
-        monkeypatch.setattr(module, "freeze", freeze)
+        monkeypatch.setattr(module, "floats", floats)
     return calls
 
 
@@ -74,7 +74,7 @@ def test_no_array_on_the_scalar_path(monkeypatch, rng, name):
 def test_the_counter_sees_a_constructor(monkeypatch, rng):
     calls = array_builds(monkeypatch)
     r.Transform(r.random_rotation(rng), rng.standard_normal(3))
-    assert "freeze" in calls and "array" in calls
+    assert "floats" in calls and "asarray" in calls
 
 
 @pytest.mark.parametrize("call", ["se3_exp", "from_array"])
@@ -144,10 +144,10 @@ def test_public_arrays_are_the_stored_floats_built_once(rng, kind):
             first[0] = 1.0
 
 
-def test_stacked_values_keep_their_rows(rng):
+def test_stacked_values_cache_arrays_equal_to_their_floats(rng):
     motions = r.relative_motions([random_transform(rng) for _ in range(4)])
-    rows = [t.rotation.m for t in motions]
-    assert all(t.rotation.m is m for t, m in zip(motions, rows))
+    arrays = [t.rotation.m for t in motions]
+    assert all(t.rotation.m is m for t, m in zip(motions, arrays))
     assert all(t.rotation.m.tobytes() == np.array(t.rotation._e).tobytes() for t in motions)
     assert all(t.translation.tobytes() == np.array(t._t).tobytes() for t in motions)
 
@@ -169,6 +169,70 @@ def test_equality_compares_the_stored_floats(rng):
     q = r.matrix_to_quat(a.rotation)
     assert q == r.UnitQuaternion(q.w, q.x, q.y, q.z) and hash(q) == hash(r.UnitQuaternion(*q.components()))
     assert q != r.quat_inverse(q) and q != (q.w, q.x, q.y, q.z)
+
+
+def stored_arrays(value) -> list:
+    """The names of the ndarrays that value, or the rotation it holds, keeps in its __dict__."""
+    parts = [value, *(v for v in vars(value).values() if isinstance(v, so3._Value))]
+    return [k for part in parts for k, v in vars(part).items() if isinstance(v, np.ndarray)]
+
+
+def built_values(rng) -> dict:
+    """One value of each type from every path that makes one: public constructors, computations, stacks, identity."""
+    rot = r.random_rotation(rng)
+    R, t, u = rot.m.copy(), rng.standard_normal(3), rng.standard_normal(3)
+    values = {}
+    for kind, conv in {"array": lambda a: a, "list": lambda a: a.tolist(), "tuple": lambda a: tuple(a.tolist())}.items():
+        R_, t_, u_ = conv(R), conv(t), conv(u)
+        values[f"RotationMatrix({kind})"] = r.RotationMatrix(R_)
+        values[f"Transform({kind})"] = r.Transform(R_, t_)
+        values[f"Twist({kind})"] = r.Twist(t_, u_)
+        values[f"Wrench({kind})"] = r.Wrench(t_, u_)
+        values[f"EulerAngles({kind})"] = r.EulerAngles(u_)
+    pose = r.Transform(rot, t)
+    values.update({
+        "compose": r.compose(pose, pose),
+        "inverse": r.inverse(pose),
+        "se3_exp": r.se3_exp(np.r_[t, u]),
+        "se3_log": r.se3_log(pose),
+        "so3_exp": r.so3_exp(u),
+        "orthonormalize": r.orthonormalize(R),
+        "matrix_to_euler": r.matrix_to_euler(rot)[0],
+        "transform_wrench": r.transform_wrench(pose, r.Wrench(t, u)),
+        "Twist.from_array": r.Twist.from_array(np.r_[t, u]),
+        "from_matrix4": r.from_matrix4(r.to_matrix4(pose)),
+        "RotationMatrix.identity": r.RotationMatrix.identity(),
+        "Transform.identity": r.Transform.identity(),
+    })
+    for i, motion in enumerate(r.relative_motions([pose, r.compose(pose, pose), r.inverse(pose)])):
+        values[f"_build_transforms {i}"] = motion
+    return values
+
+
+def test_values_hold_no_array_until_one_is_read(rng):
+    for key, value in built_values(rng).items():
+        assert stored_arrays(value) == [], key
+
+
+PUBLIC_ARRAYS = {
+    r.RotationMatrix: ("m",), r.EulerAngles: ("angles",), r.Twist: ("v", "w"), r.Wrench: ("f", "tau"),
+    r.Transform: ("translation",),
+}
+
+
+def read_arrays(value) -> list:
+    """The bytes of each public array of value and of the rotation a Transform holds; reading them caches them."""
+    out = [getattr(value, name).tobytes() for name in PUBLIC_ARRAYS[type(value)]]
+    return out + (read_arrays(value.rotation) if isinstance(value, r.Transform) else [])
+
+
+def test_pickle_keeps_the_floats_and_drops_the_cached_arrays(rng):
+    for key, value in built_values(rng).items():
+        arrays = read_arrays(value)
+        assert stored_arrays(value) != [], key
+        back = pickle.loads(pickle.dumps(value))
+        assert stored_arrays(back) == [] and back == value, key
+        assert read_arrays(back) == arrays, key
 
 
 def test_values_are_frozen_and_pickle(rng):

@@ -21,7 +21,7 @@ from .errors import (
     TooFewPoses,
 )
 from .se3 import Transform, _stack_transforms
-from .so3 import _apply, _apply_stack, _log_stack, _mul_stack, _nearest_rotation, _repair, _repair_stack, _row_norms
+from .so3 import _apply, _log_stack, _mul, _nearest_rotation, _repair, _repair_stack, _sq, _transpose
 from .validation import check_matrix
 
 SINGULAR_RATIO = 1e-9
@@ -89,7 +89,7 @@ def register_point_sets(p, q) -> RegistrationResult:
     rot = _repair(r.T)  # for H = U S V^T this is Kabsch's V diag(1, 1, d) U^T
     t = q_bar - _apply(rot._e, p_bar.tolist())
     transform = Transform(rot, t)
-    residuals = _row_norms(_apply_stack(rot._e, p) + t - q)
+    residuals = np.sqrt(_sq(*[x + y - z for x, y, z in zip(_apply(rot._e, p.T), t, q.T)]))
     return RegistrationResult(transform, _rms(residuals), residuals)
 
 
@@ -101,22 +101,22 @@ def pivot_calibrate(samples) -> PivotResult:
     least-squares system in (g, b).
     """
     rs, ts = _stack_transforms(samples)
-    n = len(rs)
+    n = rs.shape[1]
     if n < 3:
         raise TooFewPoses("pivot calibration needs at least 3 poses")
 
     a = np.zeros((n, 3, 6))
-    a[:, :, :3] = rs
+    a[:, :, :3] = rs.T.reshape(n, 3, 3)
     a[:, :, 3:] = -np.eye(3)
     a = a.reshape(3 * n, 6)
-    rhs = -ts.reshape(3 * n)
+    rhs = -ts.T.reshape(3 * n)
 
     sol, _, _, sv = np.linalg.lstsq(a, rhs, rcond=None)
     # cond(A^T A) = (s_max / s_min)^2, compared without dividing so rank deficiency is rejected too
     if sv[0] * sv[0] > MAX_CONDITION * (sv[-1] * sv[-1]):
         raise DegenerateMotion("insufficient rotational diversity: tip and pivot are not separable")
     tip, pivot = sol[:3], sol[3:]
-    errs = _row_norms(_apply_stack(rs, tip.tolist()) + ts - pivot)
+    errs = np.sqrt(_sq(*[x + y - z for x, y, z in zip(_apply(rs, tip.tolist()), ts, pivot.tolist())]))
     return PivotResult(tip, pivot, _rms(errs), errs)
 
 
@@ -129,20 +129,20 @@ def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
     the polar factor u vt of the SVD M^T = u diag(s) vt, then the translation from
     the stacked linear system (R_Ai - I) t = R t_Bi - t_Ai.
     """
-    if len(a_list) != len(b_list):
+    ra, ta = _stack_transforms(a_list)
+    rb, tb = _stack_transforms(b_list)
+    n = ra.shape[1]
+    if n != rb.shape[1]:
         raise TooFewMotions("motion lists must have equal length")
-    n = len(a_list)
     if n < 3:  # M = sum beta_i alpha_i^T has rank <= n, and R needs rank 3
         raise TooFewMotions("hand-eye calibration needs at least 3 motion pairs")
 
-    ra, ta = _stack_transforms(a_list)
-    rb, tb = _stack_transforms(b_list)
     alphas = _log_stack(ra)
     betas = _log_stack(rb)
     _check_axis_diversity(alphas)
 
-    # summed along axis 0 in order, as a running sum of outer products would be
-    m = (betas[:, :, None] * alphas[:, None, :]).sum(axis=0)
+    # the (n, 3, 3) outer products in C order, summed along the motions in order, as a running sum would be
+    m = np.multiply(betas.T[:, :, None], alphas.T[:, None, :], order="C").sum(axis=0)
     r, s, sign = _nearest_rotation(m.T)  # the eigenvalues of M^T M are s^2
     if s[2] * s[2] < MTM_RATIO * max(s[0] * s[0], 1.0):
         raise DegenerateMotion("rotation axes are not diverse enough to determine X")
@@ -151,15 +151,17 @@ def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
     rot_x = _repair(r)
     r_x = rot_x._e
 
-    d = _apply_stack(r_x, tb) - ta
-    t_x, *_ = np.linalg.lstsq((ra - np.eye(3)).reshape(3 * n, 3), d.reshape(3 * n), rcond=None)
+    d = [x - y for x, y in zip(_apply(r_x, tb), ta)]
+    a = (ra.T.reshape(n, 3, 3) - np.eye(3)).reshape(3 * n, 3)
+    t_x, *_ = np.linalg.lstsq(a, np.stack(d, axis=-1).reshape(3 * n), rcond=None)
 
     # geodesic distance between A_i R_X and R_X B_i, each product a rotation as compose would give it
-    left = _repair_stack(_mul_stack(ra, r_x))
-    right = _repair_stack(_mul_stack(r_x, rb))
-    rel = _repair_stack(_mul_stack(np.swapaxes(left, 1, 2), right))
-    rot_errs = _row_norms(_log_stack(rel))
-    trans_errs = _row_norms(_apply_stack(ra, t_x.tolist()) - t_x - d)
+    left = _repair_stack(_mul(ra, r_x))
+    right = _repair_stack(_mul(r_x, rb))
+    rel = _repair_stack(_mul(_transpose(left), right))
+    rot_errs = np.sqrt(_sq(*_log_stack(rel)))
+    t = t_x.tolist()
+    trans_errs = np.sqrt(_sq(*[x - y - z for x, y, z in zip(_apply(ra, t), t, d)]))
     return HandEyeResult(
         Transform(rot_x, t_x),
         _rms(rot_errs),
@@ -177,13 +179,13 @@ def _rms(errs: np.ndarray) -> float:
 
 
 def _check_axis_diversity(alphas) -> None:
-    """Reject motion sets whose rotation axes all lie on one line."""
-    norms = _row_norms(alphas)
+    """Reject motion sets whose rotation axes all lie on one line; alphas are the rotation vectors' (3, n) rows."""
+    norms = np.sqrt(_sq(*alphas))
     rotating = norms > 1e-12
-    axes = alphas[rotating] / norms[rotating, None]
-    if len(axes) < 2:
+    axes = alphas[:, rotating] / norms[rotating]
+    if axes.shape[1] < 2:
         raise DegenerateMotion("need at least 2 motions with nonzero rotation")
-    x, y, z = (axes[1:] * axes[0]).T
+    x, y, z = axes[:, 1:] * axes[:, :1]
     # an axis is off the first by more than PARALLEL_AXIS_TOL where |cos| <= cos(PARALLEL_AXIS_TOL); a tie was, by arccos
     if not np.any(np.abs(x + y + z) <= math.cos(PARALLEL_AXIS_TOL)):
         raise DegenerateMotion("all rotation axes are parallel: X is not unique")

@@ -12,7 +12,7 @@ from . import _numpy as np
 from .calibration import hand_eye_calibrate, pivot_calibrate, register_point_sets
 from .errors import Rigid3dError
 from .se3 import _build_transforms, _compose_stack, _stack_transforms, inverse
-from .so3 import _apply_stack
+from .so3 import _apply
 from .validation import check_matrix
 
 
@@ -64,7 +64,7 @@ class RigidRegistration(BaseEstimator):
         self._fitted("transform_")
         pts = check_matrix(X, (None, 3), "points")
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _apply_stack(self.transform_.rotation._e, pts) + self.transform_.translation
+            out = np.stack(_apply(self.transform_.rotation._e, pts.T), axis=-1) + self.transform_.translation
         return check_matrix(out, (None, 3), "transformed points")
 
     def fit_transform(self, X, y):
@@ -92,7 +92,7 @@ class PivotCalibrator(BaseEstimator):
         self._fitted("tip_offset_")
         rs, ts = _stack_transforms(X)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _apply_stack(rs, self.tip_offset_.tolist()) + ts
+            out = np.stack(_apply(rs, self.tip_offset_.tolist()), axis=-1) + ts.T
         return check_matrix(out, (None, 3), "predicted tips")
 
 

@@ -98,12 +98,11 @@ def _csv(header: str, rows) -> str:
 
 def relative_motions(poses) -> list[Transform]:
     """Consecutive relative motions T_i^-1 T_{i+1} of an absolute pose stream."""
-    poses = list(poses)
-    if len(poses) < 2:
-        raise TooFewPoses("need at least 2 poses to form relative motions")
     rs, ts = _stack_transforms(poses)
-    inv_r, inv_t = _inverse_stack(rs[:-1], ts[:-1])
-    return _build_transforms(*_compose_stack(inv_r, inv_t, rs[1:], ts[1:]))
+    if rs.shape[1] < 2:
+        raise TooFewPoses("need at least 2 poses to form relative motions")
+    inv_r, inv_t = _inverse_stack(rs[:, :-1], ts[:, :-1])
+    return _build_transforms(*_compose_stack(inv_r, inv_t, rs[:, 1:], ts[:, 1:]))
 
 
 def report_json(tool_version: str, command: str, result: dict, residuals: dict | None) -> str:

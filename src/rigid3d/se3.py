@@ -11,19 +11,17 @@ import math
 from itertools import chain
 
 from . import _numpy as np
-from .errors import InvalidHomogeneousRow, NotARotation
+from .errors import InvalidHomogeneousRow, NotARotation, Rigid3dError
 from .so3 import (
     SERIES_ANGLE,
     RotationMatrix,
     _apply,
-    _apply_stack,
     _defects,
     _Array,
     _finite,
     _hat,
     _log,
     _mul,
-    _mul_stack,
     _new,
     _repair,
     _repair_stack,
@@ -212,37 +210,46 @@ def from_matrix4(m) -> Transform:
 
 
 def _stack_transforms(transforms) -> tuple[np.ndarray, np.ndarray]:
-    """Rotations (n, 3, 3) and translations (n, 3) of an iterable of Transforms, from their stored floats."""
+    """The rotation rows (9, n) and translation rows (3, n) of an iterable of Transforms, from their stored floats.
+
+    Each is the transposed view of one (n, 9) or (n, 3) buffer. An element
+    that is not a Transform raises Rigid3dError, naming its index and type.
+    """
     transforms = list(transforms)
-    rs = np.fromiter(chain.from_iterable([t.rotation._e for t in transforms]), float, 9 * len(transforms))
-    ts = np.fromiter(chain.from_iterable([t._t for t in transforms]), float, 3 * len(transforms))
-    return rs.reshape(-1, 3, 3), ts.reshape(-1, 3)
+    try:
+        rs = np.fromiter(chain.from_iterable([t.rotation._e for t in transforms]), float, 9 * len(transforms))
+        ts = np.fromiter(chain.from_iterable([t._t for t in transforms]), float, 3 * len(transforms))
+    except AttributeError:
+        i, t = next((i, t) for i, t in enumerate(transforms) if not isinstance(t, Transform))
+        raise Rigid3dError(f"item {i} is of type {type(t).__name__}, not Transform") from None
+    return rs.reshape(-1, 9).T, ts.reshape(-1, 3).T
 
 
-def _inverse_stack(rs, ts) -> tuple[np.ndarray, np.ndarray]:
-    """inverse over stacks, its transposed rotations put through _repair_stack as one stack."""
-    rt = _repair_stack(np.swapaxes(rs, 1, 2))
-    return rt, -_apply_stack(rt, ts)
+def _inverse_stack(rs, ts) -> tuple:
+    """inverse over stacks' rows, its transposed rotations put through _repair_stack as one stack."""
+    rt = _repair_stack(_transpose(rs))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to the caller's finiteness check
+        return rt, [-x for x in _apply(rt, ts)]
 
 
-def _compose_stack(ra, ta, rb, tb) -> tuple[np.ndarray, np.ndarray]:
-    """compose over stacks; either side may be a single element, its rotation's nine floats and its translation's three.
+def _compose_stack(ra, ta, rb, tb) -> tuple:
+    """compose over stacks' rows; either side may be a single element, its rotation's nine floats and its translation's three.
 
     The products go through _repair_stack, as compose puts each through
     _repair. An overflowing translation is left to the caller's finiteness check,
     as is the NaN of an infinite ta (from _inverse_stack) plus an opposite overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        t = _apply_stack(ra, tb) + ta
-    return _repair_stack(_mul_stack(ra, rb)), t
+        t = [x + y for x, y in zip(_apply(ra, tb), ta)]
+    return _repair_stack(_mul(ra, rb)), t
 
 
-def _build_transforms(rs: np.ndarray, ts: np.ndarray) -> list[Transform]:
-    """Transforms over a rotation stack that has already been checked.
+def _build_transforms(rs, ts) -> list[Transform]:
+    """Transforms over the rows of a rotation stack that has already been checked and of a translation stack.
 
     Each stack gets the value types' shape and finiteness check once; the
     rotations' orthogonality is not measured again element by element.
-    Each value stores its rows' floats.
+    Each value stores its column's floats.
     """
-    es, ts = floats(rs.reshape(-1, 9), (None, 9), "rotation matrix"), floats(ts, (None, 3), "translation")
+    es, ts = floats(np.transpose(rs), (None, 9), "rotation matrix"), floats(np.transpose(ts), (None, 3), "translation")
     return [_new(Transform, rotation=_new(RotationMatrix, _e=e), _t=t) for e, t in zip(es, ts)]

@@ -422,8 +422,9 @@ def _rows(e) -> tuple:
 
 
 def _transpose(e) -> list:
-    """The nine row-major elements of the transpose."""
-    return e[0::3] + e[1::3] + e[2::3]
+    """The nine row-major elements of the transpose, of nine floats or a stack's nine rows."""
+    e00, e01, e02, e10, e11, e12, e20, e21, e22 = e
+    return [e00, e10, e20, e01, e11, e21, e02, e12, e22]
 
 
 def _repair(m) -> RotationMatrix:
@@ -519,68 +520,45 @@ def _canonical(q: tuple) -> tuple:
     return q
 
 
-# Stacked kernels over (n, 3, 3) rotation and (n, 3) vector stacks. The
-# solvers use them in place of per-sample loops over the scalar functions
-# above; each gives, bit for bit, what that loop gives. _mul_stack,
-# _apply_stack, _row_norms, _repair_stack and _log_stack evaluate _mul,
-# _apply, _sq, _defects and _log on column views, as the scalar functions do
-# on floats. A single operand of _mul_stack or _apply_stack enters as its
-# Python floats (a value's stored floats, or a.ravel().tolist()), so each
-# product is a float times a column, in _apply's order.
+# Stacks. Inside the library a stack of n rotations is its nine rows, the
+# row-major elements of each rotation as length-n arrays (a (9, n) array or
+# a list of nine arrays), and a stack of n vectors is its three rows. _mul,
+# _apply, _transpose, _sq, _defects and _shepperd_sums run on a stack's rows
+# as they run on a value's floats, so each stacked result is, bit for bit,
+# what a per-sample loop over the scalar functions gives. A single operand
+# enters as its Python floats, so each product is a float times a row, in
+# _apply's order. Public (n, 3) arrays are transposed at the solvers' edge.
 
 
-def _columns(x, size: int):
-    """An operand of _mul_stack or _apply_stack: a stack as the columns of its (n, size) view, a single element's float list as it is."""
-    return x if isinstance(x, list) else x.reshape(-1, size).T
-
-
-def _mul_stack(a, b) -> np.ndarray:
-    """_mul over (n, 3, 3) stacks, either of which may be a single element's nine floats, as an (n, 3, 3) stack."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to the caller's check
-        return np.stack(_mul(_columns(a, 9), _columns(b, 9)), axis=-1).reshape(-1, 3, 3)
-
-
-def _apply_stack(a, v) -> np.ndarray:
-    """_apply over an (n, 3, 3) and an (n, 3) stack, either of which may be a single element's floats, as (n, 3)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to the caller's check
-        return np.stack(_apply(_columns(a, 9), _columns(v, 3)), axis=-1)
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (n, 3) array, _sq on its columns."""
-    with np.errstate(over="ignore"):  # an overflowing row gives inf, left to the caller's finiteness check
-        return np.sqrt(_sq(*x.T))
-
-
-def _repair_stack(ms: np.ndarray) -> np.ndarray:
-    """_repair of every element of an (n, 3, 3) stack, its checks measured once over the stack.
+def _repair_stack(ms):
+    """_repair of every element of a rotation stack's nine rows, its checks measured once over the stack.
 
     The flagged elements go through _repair, the first bad one first. The
-    caller's array is never written: with nothing flagged it is returned
-    itself, else a copy.
+    caller's rows are never written: with nothing flagged they are returned
+    themselves, else a (9, n) copy.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing and non-finite elements are flagged below
-        drift2, det = _defects(*ms.reshape(-1, 9).T)
+        drift2, det = _defects(*ms)
         bad = np.flatnonzero(~((np.sqrt(drift2) <= ORTHO_TOL) & (np.abs(det - 1.0) <= ORTHO_TOL)))
     if len(bad):
-        ms = ms.copy()
+        ms = np.array(ms)
         for i in bad:
-            ms[i] = _repair(ms[i]).m
+            ms[:, i] = _repair(ms[:, i])._e
     return ms
 
 
-def _log_stack(ms: np.ndarray) -> np.ndarray:
-    """so3_log of every element of a validated (n, 3, 3) stack, as (n, 3): _log's operations on column views.
+def _log_stack(ms) -> np.ndarray:
+    """so3_log of every element of a validated rotation stack's nine rows, as a (3, n) array: _log's operations on rows.
 
-    atan2 is math's, element by element, so each row is _log's bit for bit; math.atan2 itself can move a
+    atan2 is math's, element by element, so each column is _log's bit for bit; math.atan2 itself can move a
     last bit between libm code paths (ROADMAP item 1).
     """
-    keys, qq = _shepperd_sums(*ms.reshape(-1, 9).T)
-    i = np.arange(len(ms))
-    q = np.reshape(qq, (4, 4, len(ms)))[np.argmax(keys, axis=0), :, i]  # (n, 4): _shepperd's row of each element
-    q = np.where((q[i, np.argmax(q != 0.0, axis=1)] < 0.0)[:, None], -q, q)  # _canonical's sign rule
-    w, x, y, z = q.T
+    keys, qq = _shepperd_sums(*ms)
+    i = np.arange(len(ms[0]))
+    q = np.reshape(qq, (4, 4, len(i)))[np.argmax(keys, axis=0), :, i].T  # (4, n): _shepperd's row of each element
+    q = np.where(q[np.argmax(q != 0.0, axis=0), i] < 0.0, -q, q)  # _canonical's sign rule
+    w, x, y, z = q
     n = np.sqrt(_sq(x, y, z))
     with np.errstate(divide="ignore", invalid="ignore"):  # where n is 0 the limit 2 / w is taken, as in _log
         scale = np.where(n != 0.0, 2.0 * np.array(list(map(math.atan2, n.tolist(), w.tolist()))) / n, 2.0 / w)
-    return scale[:, None] * q[:, 1:]
+    return scale * q[1:]

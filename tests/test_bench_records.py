@@ -15,6 +15,7 @@ RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 WORKLOADS = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
 MACHINE = {"nproc", "cpu_model", "python", "numpy", "openblas_core"}
 RUN = {"side", "workload", "seed", "seconds", "trace", "result"}
+AB = {"pairs", "parent_median", "change_median", "median_paired_diff", "change_faster"}
 
 
 def test_a_record_exists():
@@ -36,3 +37,9 @@ def test_record_schema(path):
         assert result["correct"] is True, run
         assert result["failed"] == 0 and result["attempted"] > 0
         assert all(set(m) == {"value", "unit"} for m in result["metrics"].values())
+    # in_process_ab: one {name: paired result} per in-process A/B run, parent and change in one process
+    for ab_run in record.get("in_process_ab", []):
+        for name, row in ab_run.items():
+            assert set(row) == AB, name
+            assert isinstance(row["pairs"], int) and 0 <= row["change_faster"] <= row["pairs"], name
+            assert all(isinstance(row[k], (int, float)) for k in AB), name

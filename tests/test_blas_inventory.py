@@ -4,8 +4,8 @@ The bits of a BLAS product or a LAPACK decomposition depend on the
 OpenBLAS kernel the host selects, so the determinism contract holds only
 where such a result feeds LAPACK or a decision, never the output bits
 directly. Every product that reaches an output is written with + and *
-in one fixed order (so3._apply, _apply_stack, _row_norms, _sq). The
-sites left, and why each may stay:
+in one fixed order (so3._apply, _mul, _sq), on a value's floats and on a
+stack's rows alike. The sites left, and why each may stay:
 
 - register_point_sets @: the cross-covariance H, which feeds only the
   SVD; it moves with the decompositions (ROADMAP item 1).

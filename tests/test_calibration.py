@@ -261,6 +261,21 @@ class TestHandEye:
         with pytest.raises(TooFewMotions):
             r.hand_eye_calibrate([random_transform(rng)], [random_transform(rng)])
 
+    def test_generator_pairs_give_the_bytes_of_lists(self, rng):
+        _, a_list, b_list = synthetic_handeye(rng, n=12, rot_noise=1e-3, trans_noise=0.5)
+        want = r.hand_eye_calibrate(a_list, b_list)
+        got = r.hand_eye_calibrate(iter(a_list), (b for b in b_list))
+        assert r.to_matrix4(got.x).tobytes() == r.to_matrix4(want.x).tobytes()
+        assert (got.rotation_rms, got.translation_rms) == (want.rotation_rms, want.translation_rms)
+        assert got.per_motion_translation_residuals.tobytes() == want.per_motion_translation_residuals.tobytes()
+        est = r.HandEyeCalibrator().fit(iter(a_list), iter(b_list))
+        assert r.to_matrix4(est.transform_).tobytes() == r.to_matrix4(want.x).tobytes()
+        assert (est.rotation_rms_, est.translation_rms_) == (want.rotation_rms, want.translation_rms)
+        with pytest.raises(TooFewMotions, match="^motion lists must have equal length$"):
+            r.hand_eye_calibrate(iter(a_list), iter(b_list[1:]))
+        with pytest.raises(TooFewMotions, match="at least 3 motion pairs"):
+            r.hand_eye_calibrate(iter(a_list[:2]), iter(b_list[:2]))
+
     def test_two_motions_are_too_few(self, rng):
         # M = sum beta_i alpha_i^T has rank <= 2 for two pairs, so X is never determined
         _, a_list, b_list = synthetic_handeye(rng, n=2)

@@ -17,7 +17,7 @@ import numpy as np
 import rigid3d as r
 from rigid3d.calibration import PARALLEL_AXIS_TOL, _check_axis_diversity
 from rigid3d.errors import DegenerateMatrix, DegenerateMotion, InvalidHomogeneousRow, NotSkewSymmetric
-from rigid3d.so3 import _nearest_rotation, _row_norms
+from rigid3d.so3 import _nearest_rotation, _sq
 
 SAMPLES = 2000
 
@@ -56,7 +56,7 @@ def last_row_ref(m):
 
 
 def axis_angles_ref(alphas):
-    norms = _row_norms(alphas)
+    norms = np.sqrt(_sq(*alphas.T))
     axes = alphas[norms > 1e-12] / norms[norms > 1e-12, None]
     return np.arccos(np.minimum(np.abs(axes[1:] @ axes[0]), 1.0))
 
@@ -104,7 +104,7 @@ def test_axis_diversity_decision_matches_the_dot_product():
             angle = PARALLEL_AXIS_TOL * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6, -1))
             alphas.append((math.cos(angle) * axis + math.sin(angle) * perp) * rng.uniform(-2.0, 2.0))
         alphas = np.array(alphas)
-        if outcome(_check_axis_diversity, alphas) != outcome(axis_diversity_ref, alphas):
+        if outcome(_check_axis_diversity, alphas.T) != outcome(axis_diversity_ref, alphas):
             assert abs(axis_angles_ref(alphas).max() - PARALLEL_AXIS_TOL) < 1e-9, alphas.tolist()
             moved += 1
     assert moved < SAMPLES // 10  # a moved decision is a 1-ulp tie, rare even this close to the threshold

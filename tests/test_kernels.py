@@ -1,8 +1,9 @@
 """Stacked SO(3)/SE(3) kernels against the scalar functions they stand in for.
 
-The solvers run their per-sample work on (n, 3, 3) and (n, 3) stacks. The
-per-element loops over the public scalar functions are kept here as the
-reference.
+The solvers run their per-sample work on stacks given as rows: the nine
+row-major elements of n rotations as a (9, n) array, the three of n vectors
+as (3, n). The per-element loops over the public scalar functions are kept
+here as the reference.
 """
 
 import math
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 import rigid3d as r
 from rigid3d.errors import NotARotation, Rigid3dError
-from rigid3d.so3 import _log, _log_stack, _repair, _repair_stack
+from rigid3d.se3 import _compose_stack, _inverse_stack, _stack_transforms
+from rigid3d.so3 import _apply, _defects, _log, _log_stack, _mul, _repair, _repair_stack, _transpose
 
 from conftest import NEAR_PI, SMALL_ANGLE, random_transform
 from test_calibration import synthetic_handeye, synthetic_pivot
@@ -45,6 +47,11 @@ def rotation(axis, angle, exact_pi) -> np.ndarray:
     return half_turn(axis) if exact_pi else r.so3_exp(unit(axis) * angle).m
 
 
+def stack_rows(ms) -> np.ndarray:
+    """The contiguous (9, n) rows of an (n, 3, 3) stack of rotations."""
+    return np.ascontiguousarray(np.reshape(ms, (-1, 9)).T)
+
+
 def norm(v) -> float:
     x, y, z = v.tolist()
     return math.sqrt(x * x + y * y + z * z)
@@ -62,7 +69,7 @@ def max_diff(got, want) -> float:
 def test_log_stack_is_bitwise_so3_log(items):
     stack = np.array([rotation(*item) for item in items])
     want = np.array([r.so3_log(r.RotationMatrix(m)) for m in stack])
-    assert np.array_equal(_log_stack(stack), want)
+    assert np.array_equal(_log_stack(stack_rows(stack)).T, want)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -78,11 +85,11 @@ def test_log_stack_is_bitwise_log_on_every_branch(seed):
     theta = np.array([math.acos(max(-1.0, min(1.0, (m[0][0] + m[1][1] + m[2][2] - 1.0) / 2.0))) for m in rows])
     assert min((theta < SMALL_ANGLE).sum(), ((theta >= SMALL_ANGLE) & (theta <= NEAR_PI)).sum(), (theta > NEAR_PI).sum()) > 50
     want = np.array([_log(m) for m in ms.reshape(-1, 9).tolist()])
-    assert _log_stack(ms).tobytes() == want.tobytes()  # tobytes: signed zeros count too
+    assert _log_stack(stack_rows(ms)).T.tobytes() == want.tobytes()  # tobytes: signed zeros count too
 
 
 def test_log_stack_of_no_rows():
-    assert _log_stack(np.zeros((0, 3, 3))).shape == (0, 3)
+    assert _log_stack(np.zeros((9, 0))).shape == (3, 0)
 
 
 BAD = {
@@ -101,7 +108,7 @@ def test_stack_check_raises_what_rotation_matrix_raises(kind, pos, seed):
     with pytest.raises(Rigid3dError) as scalar:
         r.RotationMatrix(stack[pos])
     with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
-        _repair_stack(stack)
+        _repair_stack(stack_rows(stack))
 
 
 @settings(max_examples=30, deadline=None)
@@ -111,10 +118,11 @@ def test_stack_check_repairs_drift_as_the_scalar_step_does(pos, seed):
     rng = np.random.default_rng(seed)
     stack = np.array([r.random_rotation(rng).m for _ in range(5)])
     stack[pos] += 1e-6 * np.outer([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    stack.setflags(write=False)
-    got = _repair_stack(stack)
-    assert np.array_equal(got[pos], _repair(stack[pos]).m)
-    assert np.array_equal(np.delete(got, pos, axis=0), np.delete(stack, pos, axis=0))
+    ms = stack_rows(stack)
+    ms.setflags(write=False)
+    got = _repair_stack(ms)
+    assert np.array_equal(got[:, pos], _repair(stack[pos]).m.ravel())
+    assert np.array_equal(np.delete(got, pos, axis=1), np.delete(ms, pos, axis=1))
 
 
 def test_stack_check_reports_the_first_bad_element(rng):
@@ -122,12 +130,31 @@ def test_stack_check_reports_the_first_bad_element(rng):
     stack[1] = -stack[1]
     stack[3] = np.nan
     with pytest.raises(NotARotation, match="determinant"):
-        _repair_stack(stack)
+        _repair_stack(stack_rows(stack))
 
 
 def test_stack_check_passes_valid_stack(rng):
-    stack = np.array([r.random_rotation(rng).m for _ in range(10)])
+    stack = stack_rows([r.random_rotation(rng).m for _ in range(10)])
     assert _repair_stack(stack) is stack
+
+
+def test_strided_rows_give_the_bytes_of_contiguous_rows(rng):
+    # _stack_transforms returns each stack as the transposed view of one (n, 9) or (n, 3) buffer
+    poses = [random_transform(rng, trans_scale=10.0) for _ in range(50)]
+    rs, ts = _stack_transforms(poses)
+    assert not rs.flags.c_contiguous and not ts.flags.c_contiguous
+    crs, cts = np.ascontiguousarray(rs), np.ascontiguousarray(ts)
+    e, t = poses[0].rotation._e, poses[0]._t
+
+    def outputs(rs, ts):
+        return [
+            _log_stack(rs), _defects(*rs), _mul(e, _transpose(rs)), _repair_stack(_mul(rs, e)),
+            _apply(rs, ts), _apply(rs, t), _apply(e, ts),
+            *_inverse_stack(rs, ts), *_compose_stack(rs, ts, _transpose(rs), t),
+        ]
+
+    for strided, contiguous in zip(outputs(rs, ts), outputs(crs, cts), strict=True):
+        assert np.array(strided).tobytes() == np.array(contiguous).tobytes()
 
 
 @settings(max_examples=30, deadline=None)

@@ -121,12 +121,12 @@ def test_stack_check_at_the_tolerance_is_the_scalar_step(seed):
     stack = np.concatenate([ms, np.swapaxes(ms, 1, 2)])
     want_flagged = [m for m in stack if rejected(m)]
     assert 0 < len(want_flagged) < len(stack) // 2
-    flagged = []  # copies: _repair_stack writes each repaired element back into the row it passed
+    flagged = []  # copies: _repair_stack writes each repaired element back into the column it passed
     with mock.patch("rigid3d.so3._repair", lambda m: flagged.append(m.copy()) or _repair(m)):
-        got = _repair_stack(stack)
+        got = _repair_stack(stack.reshape(-1, 9).T)
     assert len(flagged) == len(want_flagged)
-    assert all(np.array_equal(f, w) for f, w in zip(flagged, want_flagged))
-    assert got.tobytes() == np.array([_repair(m).m for m in stack]).tobytes()
+    assert all(np.array_equal(f, w.ravel()) for f, w in zip(flagged, want_flagged))
+    assert got.T.tobytes() == np.array([_repair(m).m for m in stack]).tobytes()
 
 
 def counted(name: str):

@@ -6,6 +6,9 @@ from rigid3d.errors import NotARotation, Rigid3dError
 from rigid3d.se3 import _build_transforms
 from rigid3d.validation import check_matrix
 
+from conftest import random_transform
+from test_calibration import synthetic_handeye, synthetic_pivot
+
 PTS = np.zeros((4, 3))
 
 
@@ -178,7 +181,7 @@ def test_stored_arrays_are_read_only_copies(rng):
         "wrench tau": (r.Wrench(u, v), "tau", v),
         "euler": (r.EulerAngles(u), "angles", u),
     }
-    built = _build_transforms(rs, ts)
+    built = _build_transforms(rs.reshape(-1, 9).T, ts.T)
     for i, tf in enumerate(built):
         values[f"stack rotation {i}"] = (tf.rotation, "m", rs)
         values[f"stack translation {i}"] = (tf, "translation", ts)
@@ -191,3 +194,20 @@ def test_stored_arrays_are_read_only_copies(rng):
         source[...] = 7.0
     for key, (value, attr, _) in values.items():
         assert getattr(value, attr).tobytes() == before[key].tobytes(), key
+
+
+ENTRY_POINTS = {
+    "pivot_calibrate": lambda rng, bad: r.pivot_calibrate(bad),
+    "hand_eye_calibrate": lambda rng, bad: r.hand_eye_calibrate(synthetic_handeye(rng, n=5)[1], bad),
+    "relative_motions": lambda rng, bad: r.relative_motions(bad),
+    "PivotCalibrator.predict": lambda rng, bad: r.PivotCalibrator().fit(synthetic_pivot(rng)[2]).predict(bad),
+    "HandEyeCalibrator.predict": lambda rng, bad: r.HandEyeCalibrator().fit(*synthetic_handeye(rng)[1:]).predict(bad),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_an_item_that_is_not_a_transform_is_named(rng, entry):
+    poses = [random_transform(rng) for _ in range(5)]
+    poses[3] = r.to_matrix4(poses[3])
+    with pytest.raises(Rigid3dError, match="^item 3 is of type ndarray, not Transform$"):
+        ENTRY_POINTS[entry](rng, poses)

@@ -16,7 +16,6 @@ import pytest
 
 import rigid3d as r
 from rigid3d import se3, so3, validation
-from rigid3d.so3 import _apply_stack, _mul_stack
 
 from conftest import NEAR_PI, SMALL_ANGLE, random_transform
 
@@ -265,17 +264,18 @@ def test_repr_shows_the_public_arrays():
 
 
 def test_single_operand_enters_as_floats(rng):
-    # a float times a column, in _apply's order: the same bits as the (9, 1) broadcast and as transform_point
+    # a float times a row, in _apply's order: the same bits as the (9, 1) broadcast and as transform_point
     t = random_transform(rng, 10.0)
     p = rng.uniform(-100, 100, (50, 3))
     rs = np.array([r.random_rotation(rng).m for _ in range(50)])
-    got = _apply_stack(t.rotation._e, p) + t.translation
-    assert got.tobytes() == (_apply_stack(t.rotation.m, p) + t.translation).tobytes()
+    rows = rs.reshape(-1, 9).T
+    got = np.transpose(so3._apply(t.rotation._e, p.T)) + t.translation
+    assert got.tobytes() == (np.transpose(so3._apply(t.rotation.m.reshape(9, 1), p.T)) + t.translation).tobytes()
     assert got.tobytes() == np.array([r.transform_point(t, x) for x in p]).tobytes()
-    assert _apply_stack(rs, t._t).tobytes() == np.array([r.rotate(m, t.translation) for m in rs]).tobytes()
+    assert np.transpose(so3._apply(rows, t._t)).tobytes() == np.array([r.rotate(m, t.translation) for m in rs]).tobytes()
     e, ms = t.rotation._e, rs.reshape(-1, 9).tolist()
-    assert _mul_stack(e, rs).tobytes() == np.array([so3._mul(e, m) for m in ms]).tobytes()
-    assert _mul_stack(rs, e).tobytes() == np.array([so3._mul(m, e) for m in ms]).tobytes()
+    assert np.transpose(so3._mul(e, rows)).tobytes() == np.array([so3._mul(e, m) for m in ms]).tobytes()
+    assert np.transpose(so3._mul(rows, e)).tobytes() == np.array([so3._mul(m, e) for m in ms]).tobytes()
 
 
 def test_an_overflowing_computed_vector_is_named_as_before():

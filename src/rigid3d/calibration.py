@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from . import _numpy as np
 from .errors import (
@@ -21,7 +20,7 @@ from .errors import (
     TooFewPoses,
 )
 from .se3 import Transform, _stack_transforms
-from .so3 import _apply, _log_stack, _mul, _nearest_rotation, _repair, _repair_stack, _sq, _transpose
+from .so3 import _apply, _log_stack, _mul, _nearest_rotation, _repair, _repair_stack, _sq, _transpose, _Value
 from .validation import check_matrix
 
 SINGULAR_RATIO = 1e-9
@@ -30,38 +29,42 @@ PARALLEL_AXIS_TOL = 1e-6
 MTM_RATIO = 1e-12
 
 
-def _overflow_ignored(solver):
-    """solver under np.errstate(over="ignore", invalid="ignore"), entered at each call: importing this module loads no NumPy."""
+def _overflow_ignored(fn):
+    """fn under np.errstate(over="ignore", invalid="ignore"), entered at each call: importing this module loads no NumPy."""
 
-    @functools.wraps(solver)
+    @functools.wraps(fn)
     def run(*args, **kwargs):
         with np.errstate(over="ignore", invalid="ignore"):
-            return solver(*args, **kwargs)
+            return fn(*args, **kwargs)
 
     return run
 
 
-@dataclass(frozen=True)
-class RegistrationResult:
-    transform: Transform
-    rms_error: float
-    per_point_residuals: np.ndarray
+class RegistrationResult(_Value):
+    """register_point_sets' fit: the transform T, the RMS residual, and ||T p_i - q_i|| for each point pair."""
+
+    _fields = ("transform", "rms_error", "per_point_residuals")
+
+    def __init__(self, transform: Transform, rms_error: float, per_point_residuals: np.ndarray):
+        self.__dict__.update(zip(self._fields, (transform, rms_error, per_point_residuals)))
 
 
-@dataclass(frozen=True)
-class PivotResult:
-    tip_offset: np.ndarray  # tool frame
-    pivot_point: np.ndarray  # world frame
-    rms_error: float
-    per_pose_residuals: np.ndarray  # ||R_i g + t_i - b|| for each pose
+class PivotResult(_Value):
+    """pivot_calibrate's fit: tip_offset g (tool frame), pivot_point b (world frame), the RMS, ||R_i g + t_i - b|| per pose."""
+
+    _fields = ("tip_offset", "pivot_point", "rms_error", "per_pose_residuals")
+
+    def __init__(self, tip_offset: np.ndarray, pivot_point: np.ndarray, rms_error: float, per_pose_residuals: np.ndarray):
+        self.__dict__.update(zip(self._fields, (tip_offset, pivot_point, rms_error, per_pose_residuals)))
 
 
-@dataclass(frozen=True)
-class HandEyeResult:
-    x: Transform
-    rotation_rms: float
-    translation_rms: float
-    per_motion_translation_residuals: np.ndarray  # ||R_Ai t_X - t_X - (R_X t_Bi - t_Ai)||
+class HandEyeResult(_Value):
+    """hand_eye_calibrate's fit: X, the rotation (rad) and translation RMS, ||R_Ai t_X - t_X - (R_X t_Bi - t_Ai)|| per motion."""
+
+    _fields = ("x", "rotation_rms", "translation_rms", "per_motion_translation_residuals")
+
+    def __init__(self, x: Transform, rotation_rms: float, translation_rms: float, per_motion_translation_residuals: np.ndarray):
+        self.__dict__.update(zip(self._fields, (x, rotation_rms, translation_rms, per_motion_translation_residuals)))
 
 
 @_overflow_ignored  # an overflow is rejected: by the H check, Transform or _rms

@@ -9,7 +9,7 @@ the NumPy-only footprint.
 from __future__ import annotations
 
 from . import _numpy as np
-from .calibration import hand_eye_calibrate, pivot_calibrate, register_point_sets
+from .calibration import _overflow_ignored, hand_eye_calibrate, pivot_calibrate, register_point_sets
 from .errors import Rigid3dError
 from .se3 import _build_transforms, _compose_stack, _stack_transforms, inverse
 from .so3 import _apply
@@ -59,12 +59,12 @@ class RigidRegistration(BaseEstimator):
         self.per_point_residuals_ = result.per_point_residuals
         return self
 
+    @_overflow_ignored  # an overflow is rejected by the last check
     def transform(self, X):
         """Apply the fitted rigid transform to an (n, 3) point array; a result that overflows raises Rigid3dError."""
         self._fitted("transform_")
         pts = check_matrix(X, (None, 3), "points")
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.stack(_apply(self.transform_.rotation._e, pts.T), axis=-1) + self.transform_.translation
+        out = np.stack(_apply(self.transform_.rotation._e, pts.T), axis=-1) + self.transform_.translation
         return check_matrix(out, (None, 3), "transformed points")
 
     def fit_transform(self, X, y):
@@ -87,12 +87,12 @@ class PivotCalibrator(BaseEstimator):
         self.rms_error_ = result.rms_error
         return self
 
+    @_overflow_ignored  # an overflow is rejected by the last check
     def predict(self, X):
         """World-frame tip position for each pose in X; a result that overflows raises Rigid3dError."""
         self._fitted("tip_offset_")
         rs, ts = _stack_transforms(X)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.stack(_apply(rs, self.tip_offset_.tolist()), axis=-1) + ts.T
+        out = np.stack(_apply(rs, self.tip_offset_.tolist()), axis=-1) + ts.T
         return check_matrix(out, (None, 3), "predicted tips")
 
 

@@ -49,9 +49,6 @@ class Transform(_Value):
             rotation = RotationMatrix(rotation)
         self.__dict__.update(rotation=rotation, _t=floats(translation, (3,), "translation"))
 
-    def _key(self):
-        return self.rotation._key(), tuple(self._t)
-
     @staticmethod
     def identity() -> "Transform":
         return _new(Transform, rotation=RotationMatrix.identity(), _t=[0.0, 0.0, 0.0])
@@ -68,9 +65,6 @@ class Twist(_Value):
 
     def __post_init__(self, v, w):
         self.__dict__.update(_v=floats(v, (3,), "twist linear part"), _w=floats(w, (3,), "twist angular part"))
-
-    def _key(self):
-        return tuple(self._v), tuple(self._w)
 
     def as_array(self) -> np.ndarray:
         return np.array(self._v + self._w)
@@ -92,9 +86,6 @@ class Wrench(_Value):
 
     def __post_init__(self, f, tau):
         self.__dict__.update(_f=floats(f, (3,), "force"), _tau=floats(tau, (3,), "torque"))
-
-    def _key(self):
-        return tuple(self._f), tuple(self._tau)
 
 
 def _transform(rot: RotationMatrix, t: list) -> Transform:

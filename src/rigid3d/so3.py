@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import FrozenInstanceError
 
 from . import _numpy as np
 from .errors import (
@@ -32,23 +31,32 @@ EXP_MAX_COMPONENT = 1e100  # exp rejects larger |w_i|: the norm, and the cube of
 
 
 class _Value:
-    """Immutable value that stores its elements as Python floats; equal to a value of its class with equal floats.
+    """The library's immutable record, equal to a record of its class with equal stored state.
 
-    The scalar functions read and write the floats. Each public array is
-    built from them on first access and then kept (_Array), and pickling
-    leaves it out. A public constructor's __init__ hands the arguments to
+    The value types store their elements as Python floats: the scalar
+    functions read and write the floats. Each public array is built from
+    them on first access and then kept (_Array), and pickling and equality
+    leave it out. A value type's __init__ hands the arguments to
     __post_init__, the validating step (the name perfbench's tracer
     counts); the library makes values of floats it computed and checked
-    through _new.
+    through _new. The solver results store their fields as given.
     """
 
     _fields: tuple  # the public attributes, in constructor order, for repr
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # loaded on this error path only
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        """The stored state sorted by name, lists as tuples: what equality and hashing compare."""
+        return tuple(tuple(v) if isinstance(v, list) else v for _, v in sorted(self.__getstate__().items()))
 
     def __eq__(self, other):
         return self._key() == other._key() if type(other) is type(self) else NotImplemented
@@ -121,9 +129,6 @@ class RotationMatrix(_Value):
             raise NotARotation("matrix determinant is not +1 within 1e-9")
         self.__dict__["_e"] = e
 
-    def _key(self):
-        return tuple(self._e)
-
     @staticmethod
     def identity() -> "RotationMatrix":
         return _new(RotationMatrix, _e=[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
@@ -147,9 +152,6 @@ class UnitQuaternion(_Value):
         if not abs(n - 1.0) <= 1e-6:  # written so that a NaN norm is rejected
             raise NotUnitQuaternion(f"quaternion norm {n:.9g} deviates from 1 by more than 1e-6")
         self.__dict__.update(w=w / n, x=x / n, y=y / n, z=z / n)
-
-    def _key(self):
-        return self.w, self.x, self.y, self.z
 
     @staticmethod
     def identity() -> "UnitQuaternion":
@@ -187,9 +189,6 @@ class EulerAngles(_Value):
     def __post_init__(self, angles, convention):
         _check_convention(convention)
         self.__dict__.update(_a=floats(angles, (3,), "euler angles"), convention=convention)
-
-    def _key(self):
-        return tuple(self._a), self.convention
 
 
 def _check_convention(convention) -> None:

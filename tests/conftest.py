@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import rigid3d as r
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = str(pathlib.Path(__file__).parents[1] / "src")
 
 # The angles at which so3_log once switched formulas; the seeded tests still sample on both sides of them.
 SMALL_ANGLE = 1e-8
@@ -26,3 +30,11 @@ def random_rotvec(rng, max_angle=np.pi):
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
     return axis * rng.uniform(0.0, max_angle)
+
+
+def child(code: str) -> str:
+    """stdout of code run by a fresh interpreter that imports rigid3d from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

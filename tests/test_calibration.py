@@ -257,6 +257,16 @@ class TestHandEye:
         with pytest.raises(DegenerateMotion):
             r.hand_eye_calibrate(a_list, b_list)
 
+    @pytest.mark.parametrize("rotating", [1, 0])
+    def test_fewer_than_two_rotating_motions_rejected(self, rng, rotating):
+        # pure translations have no rotation axis: one rotating pair, or none, leaves no second axis to compare
+        x0 = random_transform(rng)
+        rots = [r.so3_exp([0.3, -0.5, 0.8])] * rotating + [r.RotationMatrix.identity()] * (3 - rotating)
+        b_list = [r.Transform(rot, rng.standard_normal(3)) for rot in rots]
+        a_list = [r.compose(r.compose(x0, b), r.inverse(x0)) for b in b_list]
+        with pytest.raises(DegenerateMotion, match="^need at least 2 motions with nonzero rotation$"):
+            r.hand_eye_calibrate(a_list, b_list)
+
     def test_too_few_motions(self, rng):
         with pytest.raises(TooFewMotions):
             r.hand_eye_calibrate([random_transform(rng)], [random_transform(rng)])

@@ -7,24 +7,10 @@ read; from then on it is NumPy itself.
 
 import json
 import math
-import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
-from conftest import FIXTURES
-
-SRC = str(pathlib.Path(__file__).parents[1] / "src")
-
-
-def child(code: str) -> str:
-    """stdout of code run by a fresh interpreter that imports rigid3d from this checkout."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+from conftest import FIXTURES, child
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -68,6 +54,12 @@ RUN_AND_REPORT = (
 @pytest.mark.parametrize("module", ["rigid3d", "rigid3d.cli"])
 def test_import_loads_no_numpy(module):
     assert child(f"import sys, {module}; print('numpy' in sys.modules)") == "False\n"
+
+
+def test_a_dunder_probe_loads_no_numpy():
+    # introspection asks modules for dunders (inspect.unwrap reads __wrapped__): the lazy point answers with no import
+    code = "import sys, rigid3d._numpy\nprint(hasattr(rigid3d._numpy, '__wrapped__'), 'numpy' in sys.modules)"
+    assert child(code) == "False False\n"
 
 
 def test_identity_loads_no_numpy():

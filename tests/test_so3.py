@@ -258,6 +258,10 @@ class TestQuaternion:
         q = r.matrix_to_quat(r.random_rotation(rng))
         neg = r.UnitQuaternion(*(-c for c in (q.w, q.x, q.y, q.z)))
         np.testing.assert_array_equal(r.quat_to_matrix(q).m, r.quat_to_matrix(neg).m)
+        # a raw 4-tuple is built into a UnitQuaternion first: the same bytes, and the same norm check
+        assert r.quat_to_matrix((q.w, q.x, q.y, q.z)).m.tobytes() == r.quat_to_matrix(q).m.tobytes()
+        with pytest.raises(r.NotUnitQuaternion, match="^quaternion norm 2 deviates from 1 by more than 1e-6$"):
+            r.quat_to_matrix((2.0 * q.w, 2.0 * q.x, 2.0 * q.y, 2.0 * q.z))
 
     def test_canonical_sign(self, rng):
         for _ in range(200):

@@ -5,9 +5,14 @@ keep their elements as Python floats. The scalar functions read and
 write those floats; .m, .translation, .v, .w, .f, .tau and .angles are
 read-only arrays built on first access and cached. UnitQuaternion has
 no array: its .w, .x, .y and .z are the floats themselves.
+
+The three solver results are records of the same kind: frozen, pickled
+and shown as the values are, and no dataclass. Importing rigid3d loads
+neither dataclasses nor the inspect it pulls in.
 """
 
 import dataclasses
+import inspect
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -17,7 +22,9 @@ import pytest
 import rigid3d as r
 from rigid3d import se3, so3, validation
 
-from conftest import NEAR_PI, SMALL_ANGLE, random_transform
+from conftest import NEAR_PI, SMALL_ANGLE, child, random_transform
+from test_calibration import synthetic_handeye, synthetic_pivot
+from test_lazy_numpy import SCALAR_COMMANDS
 
 
 def counting(monkeypatch, target, name: str, calls: list | None = None) -> list:
@@ -249,6 +256,101 @@ def test_values_are_frozen_and_pickle(rng):
         del q.x
     back = pickle.loads(pickle.dumps(q))
     assert back == q and (back.w, back.x, back.y, back.z) == (q.w, q.x, q.y, q.z)
+
+
+def solver_results(rng) -> dict:
+    """One result of each solver, on exact synthetic inputs."""
+    p = rng.standard_normal((6, 3))
+    return {
+        "RegistrationResult": r.register_point_sets(p, p + 1.0),
+        "PivotResult": r.pivot_calibrate(synthetic_pivot(rng, n=5)[2]),
+        "HandEyeResult": r.hand_eye_calibrate(*synthetic_handeye(rng, n=4)[1:]),
+    }
+
+
+RESULT_FIELDS = {
+    "RegistrationResult": ("transform", "rms_error", "per_point_residuals"),
+    "PivotResult": ("tip_offset", "pivot_point", "rms_error", "per_pose_residuals"),
+    "HandEyeResult": ("x", "rotation_rms", "translation_rms", "per_motion_translation_residuals"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESULT_FIELDS))
+def test_results_are_frozen_records_that_pickle(rng, name):
+    result, fields = solver_results(rng)[name], RESULT_FIELDS[name]
+    assert type(result).__name__ == name and not dataclasses.is_dataclass(result)
+    assert tuple(inspect.signature(type(result)).parameters) == fields
+    for field in fields:
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{field}'$"):
+            setattr(result, field, None)
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{field}'$"):
+            delattr(result, field)
+    back = pickle.loads(pickle.dumps(result))
+    assert type(back) is type(result) and vars(back).keys() == vars(result).keys()
+    for field in fields:
+        got, want = getattr(back, field), getattr(result, field)
+        assert got == want if isinstance(want, (float, r.Transform)) else got.tobytes() == want.tobytes(), field
+    assert repr(result) == f"{name}({', '.join(f'{f}={getattr(result, f)!r}' for f in fields)})"
+    assert repr(back) == repr(result)
+
+
+def test_result_equality_compares_the_fields_and_hashing_an_array_raises():
+    result = r.RegistrationResult(r.Transform.identity(), 0.0, np.zeros(1))
+    assert repr(result) == (
+        f"RegistrationResult(transform={r.Transform.identity()!r}, rms_error=0.0, per_point_residuals=array([0.]))"
+    )
+    assert result == r.RegistrationResult(r.Transform.identity(), 0.0, np.zeros(1))
+    assert result != r.RegistrationResult(r.Transform.identity(), 1.0, np.zeros(1))
+    with pytest.raises(TypeError, match="unhashable type: 'numpy.ndarray'"):
+        hash(result)
+
+
+FROZEN_IN_A_FRESH_INTERPRETER = """
+import sys
+preloaded = 'dataclasses' in sys.modules
+import rigid3d
+loaded = 'dataclasses' in sys.modules
+try:
+    rigid3d.Transform.identity().translation = None
+except Exception as exc:
+    import dataclasses
+    print(preloaded, loaded, type(exc) is dataclasses.FrozenInstanceError)
+"""
+
+
+def test_the_frozen_error_is_the_dataclasses_one_though_rigid3d_never_loaded_it():
+    out = child(FROZEN_IN_A_FRESH_INTERPRETER)
+    if out.startswith("True"):
+        pytest.skip("this interpreter loads dataclasses at start-up (site or sitecustomize)")
+    assert out == "False False True\n"
+
+
+def loaded_while(code: str) -> str:
+    """Which of dataclasses and inspect a fresh interpreter loads while it runs code, as a sorted list.
+
+    The difference from the modules loaded at start leaves out what site preloads.
+    """
+    return child(
+        f"import io, sys\nbefore = set(sys.modules)\n{code}\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+
+
+@pytest.mark.parametrize("module", ["rigid3d", "rigid3d.cli"])
+def test_import_loads_no_dataclasses(module):
+    assert loaded_while(f"import {module}") == "[]\n"
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_COMMANDS))
+def test_scalar_command_loads_no_dataclasses(name):
+    argv = SCALAR_COMMANDS[name]
+    run = f"from rigid3d.cli import run_cli\nassert run_cli({argv!r}, stdout=io.StringIO(), stderr=io.StringIO()) == 0"
+    assert loaded_while(run) == "[]\n"
+
+
+def test_the_loaded_modules_are_seen():
+    # the positive control: the gate above sees dataclasses and inspect when they load
+    assert loaded_while("import dataclasses") == "['dataclasses', 'inspect']\n"
 
 
 def test_repr_shows_the_public_arrays():

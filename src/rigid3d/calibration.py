@@ -6,7 +6,6 @@ estimator wrappers live in :mod:`rigid3d.estimators`.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from . import _numpy as np
@@ -19,25 +18,14 @@ from .errors import (
     TooFewPoints,
     TooFewPoses,
 )
-from .se3 import Transform, _stack_transforms
-from .so3 import _apply, _log_stack, _mul, _nearest_rotation, _repair, _repair_stack, _sq, _transpose, _Value
+from .se3 import Transform, _stack_transforms, _transform
+from .so3 import _apply, _log_stack, _mul, _nearest_rotation, _overflow_ignored, _repair, _repair_stack, _sq, _transpose, _Value
 from .validation import check_matrix
 
 SINGULAR_RATIO = 1e-9
 MAX_CONDITION = 1e8
 PARALLEL_AXIS_TOL = 1e-6
 MTM_RATIO = 1e-12
-
-
-def _overflow_ignored(fn):
-    """fn under np.errstate(over="ignore", invalid="ignore"), entered at each call: importing this module loads no NumPy."""
-
-    @functools.wraps(fn)
-    def run(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return fn(*args, **kwargs)
-
-    return run
 
 
 class RegistrationResult(_Value):
@@ -67,7 +55,7 @@ class HandEyeResult(_Value):
         self.__dict__.update(zip(self._fields, (x, rotation_rms, translation_rms, per_motion_translation_residuals)))
 
 
-@_overflow_ignored  # an overflow is rejected: by the H check, Transform or _rms
+@_overflow_ignored  # an overflow is rejected: by the H check, _transform or _rms
 def register_point_sets(p, q) -> RegistrationResult:
     """Least-squares rigid transform T minimizing sum ||T p_i - q_i||^2.
 
@@ -91,7 +79,7 @@ def register_point_sets(p, q) -> RegistrationResult:
         raise DegenerateGeometry("points are collinear: rotation about the line is unconstrained")
     rot = _repair(r.T)  # for H = U S V^T this is Kabsch's V diag(1, 1, d) U^T
     t = q_bar - _apply(rot._e, p_bar.tolist())
-    transform = Transform(rot, t)
+    transform = _transform(rot, t.tolist())
     residuals = np.sqrt(_sq(*[x + y - z for x, y, z in zip(_apply(rot._e, p.T), t, q.T)]))
     return RegistrationResult(transform, _rms(residuals), residuals)
 
@@ -123,7 +111,7 @@ def pivot_calibrate(samples) -> PivotResult:
     return PivotResult(tip, pivot, _rms(errs), errs)
 
 
-@_overflow_ignored  # an overflow is rejected: by Transform or _rms
+@_overflow_ignored  # an overflow is rejected: by _transform or _rms
 def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
     """Solve A_i X = X B_i for relative-motion pairs (A_i, B_i).
 
@@ -166,7 +154,7 @@ def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
     t = t_x.tolist()
     trans_errs = np.sqrt(_sq(*[x - y - z for x, y, z in zip(_apply(ra, t), t, d)]))
     return HandEyeResult(
-        Transform(rot_x, t_x),
+        _transform(rot_x, t),
         _rms(rot_errs),
         _rms(trans_errs),
         trans_errs,
@@ -174,7 +162,7 @@ def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
 
 
 def _rms(errs: np.ndarray) -> float:
-    """Root mean square of residual norms; Rigid3dError where it overflows (silently, under the solvers' errstate)."""
+    """Root mean square of residual norms; Rigid3dError where it overflows (silently, under _overflow_ignored)."""
     rms = math.sqrt(float(np.mean(errs * errs)))
     if not math.isfinite(rms):
         raise Rigid3dError("residual RMS overflows double precision")

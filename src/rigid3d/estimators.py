@@ -9,10 +9,10 @@ the NumPy-only footprint.
 from __future__ import annotations
 
 from . import _numpy as np
-from .calibration import _overflow_ignored, hand_eye_calibrate, pivot_calibrate, register_point_sets
+from .calibration import hand_eye_calibrate, pivot_calibrate, register_point_sets
 from .errors import Rigid3dError
 from .se3 import _build_transforms, _compose_stack, _stack_transforms, inverse
-from .so3 import _apply
+from .so3 import _apply, _overflow_ignored
 from .validation import check_matrix
 
 
@@ -110,8 +110,9 @@ class HandEyeCalibrator(BaseEstimator):
         self.translation_rms_ = result.translation_rms
         return self
 
+    @_overflow_ignored  # an overflow is rejected by _build_transforms' translation check
     def predict(self, X):
-        """Map each motion A to the predicted motion B = X^-1 A X."""
+        """Map each motion A to the predicted motion B = X^-1 A X; a translation that overflows raises Rigid3dError."""
         self._fitted("transform_")
         x, x_inv = self.transform_, inverse(self.transform_)
         rs, ts = _stack_transforms(X)

@@ -17,7 +17,7 @@ import math
 from . import _numpy as np
 from .errors import NonUnitQuaternion, ParseError, TooFewPoses
 from .se3 import Transform, _build_transforms, _compose_stack, _inverse_stack, _stack_transforms, _transform
-from .so3 import UnitQuaternion, _quat_norm, matrix_to_quat, quat_to_matrix
+from .so3 import UnitQuaternion, _overflow_ignored, _quat_norm, matrix_to_quat, quat_to_matrix
 from .validation import check_matrix
 
 POSE_HEADER = "tx,ty,tz,qw,qx,qy,qz"
@@ -96,8 +96,9 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header, *(",".join(format(float(v), ".17g") for v in row) for row in rows)]) + "\n"
 
 
+@_overflow_ignored  # an overflow is rejected by _build_transforms' translation check
 def relative_motions(poses) -> list[Transform]:
-    """Consecutive relative motions T_i^-1 T_{i+1} of an absolute pose stream."""
+    """Consecutive relative motions T_i^-1 T_{i+1} of an absolute pose stream; an overflow raises Rigid3dError."""
     rs, ts = _stack_transforms(poses)
     if rs.shape[1] < 2:
         raise TooFewPoses("need at least 2 poses to form relative motions")

@@ -71,7 +71,7 @@ class Twist(_Value):
 
     @staticmethod
     def from_array(xi) -> "Twist":
-        xi = check_matrix(xi, (6,), "twist").tolist()
+        xi = floats(xi, (6,), "twist")
         return _new(Twist, _v=xi[:3], _w=xi[3:])
 
 
@@ -112,13 +112,13 @@ def inverse(t: Transform) -> Transform:
 
 def transform_point(t: Transform, p) -> np.ndarray:
     """R p + t; a result that overflows raises Rigid3dError."""
-    rp = _apply(t.rotation._e, check_matrix(p, (3,), "point").tolist())
+    rp = _apply(t.rotation._e, floats(p, (3,), "point"))
     return check_matrix([x + y for x, y in zip(rp, t._t)], (3,), "transformed point")
 
 
 def transform_direction(t: Transform, v) -> np.ndarray:
     """R v; a result that overflows raises Rigid3dError."""
-    rv = _apply(t.rotation._e, check_matrix(v, (3,), "direction").tolist())
+    rv = _apply(t.rotation._e, floats(v, (3,), "direction"))
     return check_matrix(rv, (3,), "transformed direction")
 
 
@@ -197,7 +197,7 @@ def from_matrix4(m) -> Transform:
     drift2, det = _defects(*block.ravel().tolist())
     if not (math.sqrt(drift2) < 1e-4 and det > 0.0):
         raise NotARotation("rotation block deviates from SO(3) beyond the 1e-4 repair threshold")
-    return Transform(_repair(block), m[:3, 3])
+    return _transform(_repair(block), m[:3, 3].tolist())
 
 
 def _stack_transforms(transforms) -> tuple[np.ndarray, np.ndarray]:
@@ -219,8 +219,7 @@ def _stack_transforms(transforms) -> tuple[np.ndarray, np.ndarray]:
 def _inverse_stack(rs, ts) -> tuple:
     """inverse over stacks' rows, its transposed rotations put through _repair_stack as one stack."""
     rt = _repair_stack(_transpose(rs))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to the caller's finiteness check
-        return rt, [-x for x in _apply(rt, ts)]
+    return rt, [-x for x in _apply(rt, ts)]  # an overflow is left to the caller's finiteness check
 
 
 def _compose_stack(ra, ta, rb, tb) -> tuple:
@@ -230,17 +229,16 @@ def _compose_stack(ra, ta, rb, tb) -> tuple:
     _repair. An overflowing translation is left to the caller's finiteness check,
     as is the NaN of an infinite ta (from _inverse_stack) plus an opposite overflow.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = [x + y for x, y in zip(_apply(ra, tb), ta)]
+    t = [x + y for x, y in zip(_apply(ra, tb), ta)]
     return _repair_stack(_mul(ra, rb)), t
 
 
 def _build_transforms(rs, ts) -> list[Transform]:
-    """Transforms over the rows of a rotation stack that has already been checked and of a translation stack.
+    """Transforms over the rows of a rotation stack from _repair_stack and of a translation stack.
 
-    Each stack gets the value types' shape and finiteness check once; the
-    rotations' orthogonality is not measured again element by element.
-    Each value stores its column's floats.
+    _repair_stack passes only finite rotations within ORTHO_TOL, so only the
+    translation stack gets the value types' finiteness check, once. Each
+    value stores its column's floats.
     """
-    es, ts = floats(np.transpose(rs), (None, 9), "rotation matrix"), floats(np.transpose(ts), (None, 3), "translation")
+    es, ts = np.transpose(rs).tolist(), floats(np.transpose(ts), (None, 3), "translation")
     return [_new(Transform, rotation=_new(RotationMatrix, _e=e), _t=t) for e, t in zip(es, ts)]

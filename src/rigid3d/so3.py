@@ -12,6 +12,7 @@ Conventions:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 from . import _numpy as np
@@ -95,6 +96,17 @@ def _finite(v: list, name: str) -> list:
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise Rigid3dError(f"{name} contains non-finite values")
     return v
+
+
+def _overflow_ignored(fn):
+    """fn under the library's one NumPy error state, which each public entry running array arithmetic on caller data wears."""
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+
+    return run
 
 
 def _new(cls, **stored):
@@ -198,22 +210,21 @@ def _check_convention(convention) -> None:
 
 def hat3(v) -> np.ndarray:
     """Cross-product matrix: hat3(v) @ u == cross(v, u)."""
-    return np.array(_hat(check_matrix(v, (3,), "vector").tolist())).reshape(3, 3)
+    return np.array(_hat(floats(v, (3,), "vector"))).reshape(3, 3)
 
 
 def vee3(s) -> np.ndarray:
     """Inverse of hat3; input must be skew-symmetric within 1e-9."""
-    s = check_matrix(s, (3, 3), "skew matrix")
-    with np.errstate(over="ignore"):  # an overflowing s + s^T gives inf, which is rejected
-        r0, r1, r2 = (s + s.T).tolist()
+    s = floats(s, (3, 3), "skew matrix")
+    r0, r1, r2 = ([x + y for x, y in zip(row, col)] for row, col in zip(s, zip(*s)))  # s + s^T: an overflow is inf, rejected
     if math.sqrt(_sq(*r0) + _sq(*r1) + _sq(*r2)) >= 1e-9:
         raise NotSkewSymmetric("matrix is not skew-symmetric within 1e-9")
-    return np.array([s[2, 1], s[0, 2], s[1, 0]])
+    return np.array([s[2][1], s[0][2], s[1][0]])
 
 
 def so3_exp(r) -> RotationMatrix:
     """Rodrigues formula; Taylor coefficients below SERIES_ANGLE."""
-    return _rodrigues(check_matrix(r, (3,), "rotation vector").tolist())[0]
+    return _rodrigues(floats(r, (3,), "rotation vector"))[0]
 
 
 def so3_log(r_mat: RotationMatrix) -> np.ndarray:
@@ -313,7 +324,7 @@ def matrix_to_euler(
 def rotate(r_mat: RotationMatrix, v) -> np.ndarray:
     """Apply the rotation to a 3-vector; a result that overflows raises Rigid3dError."""
     m = _as_rotation(r_mat)
-    return check_matrix(_apply(m, check_matrix(v, (3,), "vector").tolist()), (3,), "rotated vector")
+    return check_matrix(_apply(m, floats(v, (3,), "vector")), (3,), "rotated vector")
 
 
 def orthonormalize(m) -> RotationMatrix:
@@ -526,7 +537,8 @@ def _canonical(q: tuple) -> tuple:
 # as they run on a value's floats, so each stacked result is, bit for bit,
 # what a per-sample loop over the scalar functions gives. A single operand
 # enters as its Python floats, so each product is a float times a row, in
-# _apply's order. Public (n, 3) arrays are transposed at the solvers' edge.
+# _apply's order. Public (n, 3) arrays are transposed at the solvers' edge,
+# and the kernels run under the error state of the entry (_overflow_ignored).
 
 
 def _repair_stack(ms):
@@ -536,9 +548,8 @@ def _repair_stack(ms):
     caller's rows are never written: with nothing flagged they are returned
     themselves, else a (9, n) copy.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowing and non-finite elements are flagged below
-        drift2, det = _defects(*ms)
-        bad = np.flatnonzero(~((np.sqrt(drift2) <= ORTHO_TOL) & (np.abs(det - 1.0) <= ORTHO_TOL)))
+    drift2, det = _defects(*ms)  # an overflowing or non-finite element has an inf or NaN drift, and is flagged
+    bad = np.flatnonzero(~((np.sqrt(drift2) <= ORTHO_TOL) & (np.abs(det - 1.0) <= ORTHO_TOL)))
     if len(bad):
         ms = np.array(ms)
         for i in bad:
@@ -558,6 +569,6 @@ def _log_stack(ms) -> np.ndarray:
     q = np.where(q[np.argmax(q != 0.0, axis=0), i] < 0.0, -q, q)  # _canonical's sign rule
     w, x, y, z = q
     n = np.sqrt(_sq(x, y, z))
-    with np.errstate(divide="ignore", invalid="ignore"):  # where n is 0 the limit 2 / w is taken, as in _log
-        scale = np.where(n != 0.0, 2.0 * np.array(list(map(math.atan2, n.tolist(), w.tolist()))) / n, 2.0 / w)
-    return scale * q[1:]
+    nz = n != 0.0  # where n is 0 the limit 2 / w is taken, as in _log (w != 0 there); each branch divides by 1 where not taken
+    two_atan2 = 2.0 * np.array(list(map(math.atan2, n.tolist(), w.tolist())))
+    return np.where(nz, two_atan2 / np.where(nz, n, 1.0), 2.0 / np.where(nz, 1.0, w)) * q[1:]

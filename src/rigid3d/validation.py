@@ -6,7 +6,7 @@ from . import _numpy as np
 from .errors import Rigid3dError
 
 
-def check_matrix(x, shape: tuple, name: str = "matrix") -> np.ndarray:
+def check_matrix(x, shape: tuple, name: str) -> np.ndarray:
     """Coerce to a finite float64 array of the given shape; None in shape matches any length."""
     return _checked(np.asarray(x, dtype=float), shape, name)
 

@@ -24,6 +24,14 @@ the last bit on some inputs when its FMA paths are switched off
 did not (ROADMAP item 1). So src/ raises nothing to a power: x * x is
 one correctly rounded product on every CPU, and pow is not.
 
+The library has one NumPy error state, so3._overflow_ignored (over and
+invalid ignored), and the public functions that run array arithmetic on
+caller data wear it, so an overflow there reaches their finiteness checks
+as inf or NaN and is rejected with a Rigid3dError, never a warning. The
+stack kernels and every scalar path run bare; Python floats overflow
+without a warning. The error-state inventory pins the one errstate and
+the entries that wear it.
+
 These inventories make each new site a visible change on every host, not
 only on one whose kernel differs from the goldens'.
 """
@@ -35,6 +43,8 @@ import pathlib
 SRC = pathlib.Path(__file__).parents[1] / "src" / "rigid3d"
 NUMPY_PRODUCTS = {"dot", "matmul", "inner", "tensordot"}
 NUMPY_TRANSCENDENTALS = {"arccos", "arcsin", "arctan", "arctan2", "sin", "cos", "tan", "exp", "log", "hypot", "power"}
+NUMPY_ERROR_STATE = {"errstate", "seterr"}
+NUMPY_NAMES = NUMPY_PRODUCTS | NUMPY_TRANSCENDENTALS | NUMPY_ERROR_STATE
 
 # (module, function, operation): number of sites
 EXPECTED = {
@@ -50,9 +60,22 @@ EXPECTED = {
 
 EXPECTED_TRANSCENDENTALS = {}
 
+EXPECTED_ERROR_STATE = {("so3.py", "_overflow_ignored.run", "errstate"): 1}
+
+# (module, function): the public functions that run array arithmetic on caller data
+ERROR_STATE_ENTRIES = {
+    ("calibration.py", "register_point_sets"),
+    ("calibration.py", "pivot_calibrate"),
+    ("calibration.py", "hand_eye_calibrate"),
+    ("pose_io.py", "relative_motions"),
+    ("estimators.py", "RigidRegistration.transform"),
+    ("estimators.py", "PivotCalibrator.predict"),
+    ("estimators.py", "HandEyeCalibrator.predict"),
+}
+
 
 def sites(path: pathlib.Path) -> collections.Counter:
-    """Each @, np.linalg.* call and np.<product or transcendental> call, keyed by its enclosing class and function."""
+    """Each @, np.linalg.* call and np.<one of NUMPY_NAMES> call, keyed by its enclosing class and function."""
     found = collections.Counter()
 
     def visit(node, scope):
@@ -65,7 +88,7 @@ def sites(path: pathlib.Path) -> collections.Counter:
                 found[(*where, "@")] += 1
             elif isinstance(child, ast.Attribute):
                 owner = ast.unparse(child.value)
-                if owner == "np.linalg" or (owner == "np" and child.attr in NUMPY_PRODUCTS | NUMPY_TRANSCENDENTALS):
+                if owner == "np.linalg" or (owner == "np" and child.attr in NUMPY_NAMES):
                     found[(*where, child.attr)] += 1
             visit(child, scope)
 
@@ -97,11 +120,32 @@ def test_numpy_is_imported_only_as_np():
 
 
 def test_blas_and_lapack_sites():
-    assert {k: n for k, n in all_sites().items() if k[2] not in NUMPY_TRANSCENDENTALS} == EXPECTED
+    assert {k: n for k, n in all_sites().items() if k[2] not in NUMPY_TRANSCENDENTALS | NUMPY_ERROR_STATE} == EXPECTED
 
 
 def test_numpy_transcendental_sites():
     assert {k: n for k, n in all_sites().items() if k[2] in NUMPY_TRANSCENDENTALS} == EXPECTED_TRANSCENDENTALS
+
+
+def test_one_numpy_error_state():
+    assert {k: n for k, n in all_sites().items() if k[2] in NUMPY_ERROR_STATE} == EXPECTED_ERROR_STATE
+
+
+def test_public_array_entries_wear_the_error_state():
+    worn = set()
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+                if any(ast.unparse(d) == "_overflow_ignored" for d in child.decorator_list):
+                    worn.add((path.name, ".".join(inner)))
+            visit(child, path, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, [])
+    assert worn == ERROR_STATE_ENTRIES
 
 
 def test_no_power_in_src():

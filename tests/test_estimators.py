@@ -83,6 +83,12 @@ class TestHandEyeCalibrator:
             assert r.geodesic_distance(pred.rotation, b.rotation) < 1e-8
             assert np.linalg.norm(pred.translation - b.translation) < 1e-7
 
+    def test_predict_overflow_is_rejected(self, rng):
+        # X^-1 A's translation overflows in the stacked compose; the warnings filter is "error"
+        est = HandEyeCalibrator().fit(*synthetic_handeye(rng)[1:])
+        with pytest.raises(Rigid3dError, match="^translation contains non-finite values$"):
+            est.predict([r.Transform(r.so3_exp([0.1, 0.2, 0.3]), [1.797e308] * 3)])
+
 
 class TestParamsProtocol:
     @pytest.mark.parametrize("cls", [RigidRegistration, PivotCalibrator, HandEyeCalibrator])

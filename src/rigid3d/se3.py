@@ -13,9 +13,9 @@ from itertools import chain
 from . import _numpy as np
 from .errors import InvalidHomogeneousRow, NotARotation, Rigid3dError
 from .so3 import (
-    SERIES_ANGLE,
     RotationMatrix,
     _apply,
+    _coefficients,
     _defects,
     _Array,
     _finite,
@@ -122,31 +122,19 @@ def transform_direction(t: Transform, v) -> np.ndarray:
     return check_matrix(rv, (3,), "transformed direction")
 
 
-def _v_inverse(w: list[float]) -> list[float]:
-    """The nine elements of V(w)^-1 = I - K/2 + c K^2."""
-    theta = math.sqrt(_sq(*w))
-    k = _hat(w)
-    t2 = theta * theta
-    if theta < SERIES_ANGLE:
-        c = 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
-    else:
-        # 1/theta^2 - (1 + cos)/(2 theta sin), written via cot(theta/2)
-        half = theta / 2.0
-        c = (1.0 - half * math.cos(half) / math.sin(half)) / t2
-    return _series(-0.5, c, k, _mul(k, k))  # e - x/2 is e + (-x/2) exactly
-
-
 def se3_exp(xi: Twist) -> Transform:
-    """Exponential map: exp(hat(w)) and V(w) v from the one Rodrigues evaluation so3_exp also uses (so3._rodrigues)."""
+    """Exponential map: exp(hat(w)) and V(w) v from the one Rodrigues evaluation so3_exp also uses, of one half-angle pair."""
     if not isinstance(xi, Twist):
         xi = Twist.from_array(xi)
     return _transform(*_rodrigues(xi._w, xi._v))
 
 
 def se3_log(t: Transform) -> Twist:
-    """Logarithm map; inverse of se3_exp for rotation angle below pi."""
+    """Logarithm map; inverse of se3_exp for rotation angle below pi: V(w)^-1 t = (I - K/2 + d K^2) t, d from so3._coefficients."""
     w = _log(t.rotation._e)
-    return _twist(_apply(_v_inverse(w), t._t), w)
+    k = _hat(w)
+    v_inv = _series(-0.5, _coefficients(math.sqrt(_sq(*w)))[3], k, _mul(k, k))  # e - x/2 is e + (-x/2) exactly
+    return _twist(_apply(v_inv, t._t), w)
 
 
 def adjoint(t: Transform) -> np.ndarray:

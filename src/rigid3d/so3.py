@@ -27,7 +27,7 @@ from .errors import (
 from .validation import check_matrix, floats
 
 ORTHO_TOL = 1e-9
-SERIES_ANGLE = 1e-4  # exp, V and V^-1 take Taylor series below this angle, where their closed forms cancel
+SERIES_ANGLE = 1e-4  # exp, V and V^-1 take their coefficients from one half-angle evaluation, Taylor series below this angle
 EXP_MAX_COMPONENT = 1e100  # exp rejects larger |w_i|: the norm, and the cube of theta below, would overflow past ~1e102
 
 
@@ -223,7 +223,7 @@ def vee3(s) -> np.ndarray:
 
 
 def so3_exp(r) -> RotationMatrix:
-    """Rodrigues formula; Taylor coefficients below SERIES_ANGLE."""
+    """Rodrigues formula; its coefficients come from one half-angle evaluation, Taylor series below SERIES_ANGLE."""
     return _rodrigues(floats(r, (3,), "rotation vector"))[0]
 
 
@@ -364,24 +364,33 @@ def _hat(v) -> tuple:
     return (0.0, -z, y, z, 0.0, -x, -y, x, 0.0)
 
 
+def _coefficients(theta: float) -> tuple[float, float, float, float]:
+    """a, b, c, d of an angle t >= 0: exp(K) = I + a K + b K^2, V = I + b K + c K^2 and V^-1 = I - K/2 + d K^2, |K| = t.
+
+    a, b, c, d = sin(t)/t, (1 - cos(t))/t^2, (t - sin(t))/t^3, (1 - (t/2) cot(t/2))/t^2, all from one pair
+    s, h = sin(t/2), cos(t/2): sin(t) = 2 s h, and 1 - cos(t) = 2 s^2, which does not cancel. Below
+    SERIES_ANGLE they are Taylor series, where c and d cancel and would lose eps/t^2.
+    """
+    t2 = theta * theta
+    if theta < SERIES_ANGLE:
+        return 1.0 - t2 / 6.0, 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0, 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
+    half = theta / 2.0
+    s, h = math.sin(half), math.cos(half)  # s != 0: no double is a multiple of pi
+    sin = 2.0 * s * h
+    return sin / theta, 2.0 * s * s / t2, (theta - sin) / (t2 * theta), (1.0 - half * h / s) / t2
+
+
 def _rodrigues(w: list[float], v: list[float] | None = None) -> tuple[RotationMatrix, list[float] | None]:
     """exp(hat(w)) = I + a K + b K^2 of a validated w's three floats and, given v, V(w) v with V(w) = I + b K + c K^2.
 
-    a, b, c = sin(t)/t, (1 - cos(t))/t^2, (t - sin(t))/t^3, from their Taylor series
-    below SERIES_ANGLE, where 1 - cos(t) cancels and V v would lose eps/t.
-    A component beyond EXP_MAX_COMPONENT raises Rigid3dError.
+    a, b and c are _coefficients'. A component beyond EXP_MAX_COMPONENT raises Rigid3dError.
     """
     theta = math.sqrt(_sq(*w))
     # no component exceeds theta (sqrt(x * x) == |x| up to overflow), so only a theta past the bound needs the test
     if theta > EXP_MAX_COMPONENT and max(map(abs, w)) > EXP_MAX_COMPONENT:
         raise Rigid3dError(f"rotation vector component beyond {EXP_MAX_COMPONENT:g} in magnitude")
+    a, b, c, _ = _coefficients(theta)
     k = _hat(w)
-    t2 = theta * theta
-    if theta < SERIES_ANGLE:
-        a, b, c = 1.0 - t2 / 6.0, 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0
-    else:
-        sin = math.sin(theta)
-        a, b, c = sin / theta, (1.0 - math.cos(theta)) / t2, (theta - sin) / (t2 * theta)
     k2 = _mul(k, k)
     return _repair(_series(a, b, k, k2)), None if v is None else _apply(_series(b, c, k, k2), v)
 
@@ -561,7 +570,7 @@ def _log_stack(ms) -> np.ndarray:
     """so3_log of every element of a validated rotation stack's nine rows, as a (3, n) array: _log's operations on rows.
 
     atan2 is math's, element by element, so each column is _log's bit for bit; math.atan2 itself can move a
-    last bit between libm code paths (ROADMAP item 1).
+    last bit between libm code paths (ROADMAP item 9).
     """
     keys, qq = _shepperd_sums(*ms)
     i = np.arange(len(ms[0]))

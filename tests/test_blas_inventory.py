@@ -15,14 +15,17 @@ stack's rows alike. The sites left, and why each may stay:
 - random_rotation qr, det and @: it makes test inputs, not outputs.
 
 NumPy's SIMD transcendentals may also differ in the last bit between
-CPUs, so each one is listed too; none is left. math's functions on
-scalars are not listed, though they are neither correctly rounded nor
-the same on every CPU: glibc picks its libm code path by the CPU's
-features, and math.sin, math.cos, math.asin, math.atan2 and ** change in
-the last bit on some inputs when its FMA paths are switched off
+CPUs, so each one is listed too; none is left. math's elementary
+functions on scalars are neither correctly rounded nor the same on every
+CPU: glibc picks its libm code path by the CPU's features, and math.sin,
+math.cos, math.asin, math.atan2 and ** change in the last bit on some
+inputs when its FMA paths are switched off
 (GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA). math.sqrt and math.hypot
-did not (ROADMAP item 1). So src/ raises nothing to a power: x * x is
-one correctly rounded product on every CPU, and pow is not.
+did not. So every reference to one of them, called or passed on (as
+_log_stack hands math.atan2 to map), is listed by function too: the
+call sites that ROADMAP item 9 replaces with + - * / and sqrt. And src/
+raises nothing to a power: x * x is one correctly rounded product on
+every CPU, and pow is not.
 
 The library has one NumPy error state, so3._overflow_ignored (over and
 invalid ignored), and the public functions that run array arithmetic on
@@ -45,6 +48,14 @@ NUMPY_PRODUCTS = {"dot", "matmul", "inner", "tensordot"}
 NUMPY_TRANSCENDENTALS = {"arccos", "arcsin", "arctan", "arctan2", "sin", "cos", "tan", "exp", "log", "hypot", "power"}
 NUMPY_ERROR_STATE = {"errstate", "seterr"}
 NUMPY_NAMES = NUMPY_PRODUCTS | NUMPY_TRANSCENDENTALS | NUMPY_ERROR_STATE
+# math's libm functions whose bits may follow the CPU: all but the correctly rounded sqrt and hypot
+LIBM = {
+    f"math.{name}"
+    for name in (
+        "sin", "cos", "tan", "asin", "acos", "atan", "atan2", "sinh", "cosh", "tanh", "asinh", "acosh", "atanh",
+        "exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "pow", "cbrt", "erf", "erfc", "gamma", "lgamma",
+    )
+}
 
 # (module, function, operation): number of sites
 EXPECTED = {
@@ -59,6 +70,22 @@ EXPECTED = {
 }
 
 EXPECTED_TRANSCENDENTALS = {}
+
+# one sin/cos pair of theta/2 serves exp, V and V^-1; each Euler factor takes its own pair
+EXPECTED_LIBM = {
+    ("calibration.py", "_check_axis_diversity", "math.cos"): 1,
+    ("so3.py", "_coefficients", "math.sin"): 1,
+    ("so3.py", "_coefficients", "math.cos"): 1,
+    ("so3.py", "_rx", "math.sin"): 1,
+    ("so3.py", "_rx", "math.cos"): 1,
+    ("so3.py", "_ry", "math.sin"): 1,
+    ("so3.py", "_ry", "math.cos"): 1,
+    ("so3.py", "_rz", "math.sin"): 1,
+    ("so3.py", "_rz", "math.cos"): 1,
+    ("so3.py", "matrix_to_euler", "math.atan2"): 4,
+    ("so3.py", "_log", "math.atan2"): 1,
+    ("so3.py", "_log_stack", "math.atan2"): 1,
+}
 
 EXPECTED_ERROR_STATE = {("so3.py", "_overflow_ignored.run", "errstate"): 1}
 
@@ -75,7 +102,7 @@ ERROR_STATE_ENTRIES = {
 
 
 def sites(path: pathlib.Path) -> collections.Counter:
-    """Each @, np.linalg.* call and np.<one of NUMPY_NAMES> call, keyed by its enclosing class and function."""
+    """Each @, np.linalg.* call, np.<one of NUMPY_NAMES> call and LIBM reference, keyed by its enclosing class and function."""
     found = collections.Counter()
 
     def visit(node, scope):
@@ -90,6 +117,8 @@ def sites(path: pathlib.Path) -> collections.Counter:
                 owner = ast.unparse(child.value)
                 if owner == "np.linalg" or (owner == "np" and child.attr in NUMPY_NAMES):
                     found[(*where, child.attr)] += 1
+                elif f"{owner}.{child.attr}" in LIBM:
+                    found[(*where, f"{owner}.{child.attr}")] += 1
             visit(child, scope)
 
     visit(ast.parse(path.read_text()), [])
@@ -119,12 +148,28 @@ def test_numpy_is_imported_only_as_np():
                         assert path.name == "_numpy.py" and (alias.name, alias.asname) == ("numpy", "np"), path.name
 
 
+def test_math_is_imported_only_as_math():
+    # from math import sin, or import math as m, would hide a libm site from the inventory
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                assert node.module != "math", path.name
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    assert alias.name != "math" or alias.asname is None, path.name
+
+
 def test_blas_and_lapack_sites():
-    assert {k: n for k, n in all_sites().items() if k[2] not in NUMPY_TRANSCENDENTALS | NUMPY_ERROR_STATE} == EXPECTED
+    listed_elsewhere = NUMPY_TRANSCENDENTALS | NUMPY_ERROR_STATE | LIBM
+    assert {k: n for k, n in all_sites().items() if k[2] not in listed_elsewhere} == EXPECTED
 
 
 def test_numpy_transcendental_sites():
     assert {k: n for k, n in all_sites().items() if k[2] in NUMPY_TRANSCENDENTALS} == EXPECTED_TRANSCENDENTALS
+
+
+def test_libm_sites():
+    assert {k: n for k, n in all_sites().items() if k[2] in LIBM} == EXPECTED_LIBM
 
 
 def test_one_numpy_error_state():

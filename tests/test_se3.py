@@ -29,6 +29,27 @@ def se3_exp_series(xi, terms=30):
     return acc
 
 
+def exp_translation_longdouble(w, v) -> np.ndarray:
+    """Independent oracle: V(w) v in np.longdouble, V = I + 2 sin^2(t/2)/t^2 K + (t - sin(t))/t^3 K^2 (no 1 - cos cancellation)."""
+    x, y, z = np.asarray(w, dtype=np.longdouble)
+    k = np.array([[0, -z, y], [z, 0, -x], [-y, x, 0]], dtype=np.longdouble)
+    v = np.asarray(v, dtype=np.longdouble)
+    t = np.sqrt(x * x + y * y + z * z)
+    if t == 0:
+        return v
+    return v + 2 * np.sin(t / 2) ** 2 / t**2 * (k @ v) + (t - np.sin(t)) / t**3 * (k @ (k @ v))
+
+
+# Angle bands for the translation's accuracy: the Taylor branch, then decades above SERIES_ANGLE, where 1 - cos(t) would cancel.
+EXP_TRANSLATION_BANDS = {
+    "below_1e-4": (0.0, 1e-4),
+    "1e-4_to_1e-3": (1e-4, 1e-3),
+    "1e-3_to_1e-2": (1e-3, 1e-2),
+    "1e-2_to_0.5": (1e-2, 0.5),
+    "0.5_to_3": (0.5, 3.0),
+}
+
+
 class TestGroupOps:
     def test_compose_identity(self, rng):
         t = random_transform(rng)
@@ -188,6 +209,21 @@ def test_exp_shares_one_rodrigues_evaluation(axis, angle, v):
     assert np.linalg.norm(t.translation - want) <= 1e-12 * np.linalg.norm(want)
     if angle < math.pi - 1e-4:
         np.testing.assert_allclose(r.se3_log(t).as_array(), xi.as_array(), rtol=0, atol=1e-9)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is plain double on this platform")
+@pytest.mark.parametrize("band", sorted(EXP_TRANSLATION_BANDS))
+def test_exp_translation_in_long_double(band):
+    # b = (1 - cos(t))/t^2 from cos(t) cost up to ~2,000 eps |v| just above SERIES_ANGLE; the half-angle form stays near eps
+    rng = np.random.default_rng(sorted(EXP_TRANSLATION_BANDS).index(band))
+    worst = 0.0
+    for _ in range(500):
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        w, v = axis * rng.uniform(*EXP_TRANSLATION_BANDS[band]), rng.standard_normal(3)
+        err = np.abs(r.se3_exp(r.Twist(v, w)).translation - exp_translation_longdouble(w, v))
+        worst = max(worst, float(np.max(err)) / np.linalg.norm(v))
+    assert worst <= 4 * np.finfo(float).eps
 
 
 EXP_ENTRY_POINTS = {

@@ -26,6 +26,7 @@ SINGULAR_RATIO = 1e-9
 MAX_CONDITION = 1e8
 PARALLEL_AXIS_TOL = 1e-6
 MTM_RATIO = 1e-12
+BLOCK = 8192  # points per block of the point kernels: a row of a block is 64 KiB, so a block's rows stay in L2
 
 
 class RegistrationResult(_Value):
@@ -62,15 +63,18 @@ def register_point_sets(p, q) -> RegistrationResult:
     SVD (Arun/Kabsch) method with the determinant correction, so the
     result is always a proper rotation. Correspondence is index-wise.
     """
-    p = check_matrix(p, (None, 3), "source points")
-    q = check_matrix(q, (None, 3), "target points")
-    if p.shape[0] != q.shape[0]:
+    # read in C order, so that the sums and the BLAS product below, and thus the bits, do not follow the caller's layout
+    p = np.ascontiguousarray(check_matrix(p, (None, 3), "source points"))
+    q = np.ascontiguousarray(check_matrix(q, (None, 3), "target points"))
+    n = p.shape[0]
+    if n != q.shape[0]:
         raise TooFewPoints("point sets must have equal length")
-    if p.shape[0] < 3:
+    if n < 3:
         raise TooFewPoints("registration needs at least 3 point pairs")
 
-    p_bar = p.mean(axis=0)
-    q_bar = q.mean(axis=0)
+    # p.mean(axis=0)'s bits, in one pass: each column summed in row order, then divided by n
+    p_bar = np.einsum("ij->j", p) / n
+    q_bar = np.einsum("ij->j", q) / n
     h = (p - p_bar).T @ (q - q_bar)
     if not np.all(np.isfinite(h)):  # rejected before the SVD sees it
         raise Rigid3dError("cross-covariance of the points overflows double precision")
@@ -78,10 +82,18 @@ def register_point_sets(p, q) -> RegistrationResult:
     if sigma[1] < SINGULAR_RATIO * sigma[0]:  # sorted, so sigma[2] is below the ratio too
         raise DegenerateGeometry("points are collinear: rotation about the line is unconstrained")
     rot = _repair(r.T)  # for H = U S V^T this is Kabsch's V diag(1, 1, d) U^T
-    t = q_bar - _apply(rot._e, p_bar.tolist())
-    transform = _transform(rot, t.tolist())
-    residuals = np.sqrt(_sq(*[x + y - z for x, y, z in zip(_apply(rot._e, p.T), t, q.T)]))
+    e = rot._e
+    t = (q_bar - _apply(e, p_bar.tolist())).tolist()
+    transform = _transform(rot, t)
+    residuals = np.empty(n)
+    for b in _blocks(n):
+        np.sqrt(_sq(*[x + y - z for x, y, z in zip(_apply(e, p[b].T), t, q[b].T)]), out=residuals[b])
     return RegistrationResult(transform, _rms(residuals), residuals)
+
+
+def _blocks(n: int) -> list[slice]:
+    """The slices of n points, BLOCK at a time, that the point kernels run on in turn, so a block's rows stay in cache."""
+    return [slice(i, i + BLOCK) for i in range(0, n, BLOCK)]
 
 
 @_overflow_ignored  # an overflowing residual is rejected by _rms
@@ -163,7 +175,7 @@ def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
 
 def _rms(errs: np.ndarray) -> float:
     """Root mean square of residual norms; Rigid3dError where it overflows (silently, under _overflow_ignored)."""
-    rms = math.sqrt(float(np.mean(errs * errs)))
+    rms = math.sqrt(float(np.add.reduce(errs * errs)) / len(errs))  # np.mean's pairwise sum and division, without its wrapper
     if not math.isfinite(rms):
         raise Rigid3dError("residual RMS overflows double precision")
     return rms

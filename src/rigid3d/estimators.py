@@ -9,11 +9,18 @@ the NumPy-only footprint.
 from __future__ import annotations
 
 from . import _numpy as np
-from .calibration import hand_eye_calibrate, pivot_calibrate, register_point_sets
+from .calibration import _blocks, hand_eye_calibrate, pivot_calibrate, register_point_sets
 from .errors import Rigid3dError
 from .se3 import _build_transforms, _compose_stack, _stack_transforms, inverse
 from .so3 import _apply, _overflow_ignored
 from .validation import check_matrix
+
+
+def _add_columns(out: np.ndarray, rows, offsets) -> np.ndarray:
+    """out, an (n, 3) array, with column j set to rows[j] + offsets[j], each a row or a float: no (3, n) copy is stacked."""
+    for col, x, y in zip(out.T, rows, offsets):
+        np.add(x, y, out=col)
+    return out
 
 
 class NotFittedError(Rigid3dError):
@@ -64,7 +71,10 @@ class RigidRegistration(BaseEstimator):
         """Apply the fitted rigid transform to an (n, 3) point array; a result that overflows raises Rigid3dError."""
         self._fitted("transform_")
         pts = check_matrix(X, (None, 3), "points")
-        out = np.stack(_apply(self.transform_.rotation._e, pts.T), axis=-1) + self.transform_.translation
+        e, t = self.transform_.rotation._e, self.transform_._t
+        out = np.empty(pts.shape)
+        for b in _blocks(len(pts)):
+            _add_columns(out[b], _apply(e, pts[b].T), t)
         return check_matrix(out, (None, 3), "transformed points")
 
     def fit_transform(self, X, y):
@@ -92,7 +102,7 @@ class PivotCalibrator(BaseEstimator):
         """World-frame tip position for each pose in X; a result that overflows raises Rigid3dError."""
         self._fitted("tip_offset_")
         rs, ts = _stack_transforms(X)
-        out = np.stack(_apply(rs, self.tip_offset_.tolist()), axis=-1) + ts.T
+        out = _add_columns(np.empty((rs.shape[1], 3)), _apply(rs, self.tip_offset_.tolist()), ts)
         return check_matrix(out, (None, 3), "predicted tips")
 
 

@@ -18,7 +18,6 @@ from .so3 import (
     _coefficients,
     _defects,
     _Array,
-    _finite,
     _hat,
     _log,
     _mul,
@@ -32,7 +31,7 @@ from .so3 import (
     _transpose,
     _Value,
 )
-from .validation import check_matrix, floats
+from .validation import _finite, check_matrix, floats
 
 
 class Transform(_Value):
@@ -226,7 +225,15 @@ def _build_transforms(rs, ts) -> list[Transform]:
 
     _repair_stack passes only finite rotations within ORTHO_TOL, so only the
     translation stack gets the value types' finiteness check, once. Each
-    value stores its column's floats.
+    value stores its column's floats, written into its __dict__ as _new
+    writes them, without _new's keyword call.
     """
     es, ts = np.transpose(rs).tolist(), floats(np.transpose(ts), (None, 3), "translation")
-    return [_new(Transform, rotation=_new(RotationMatrix, _e=e), _t=t) for e, t in zip(es, ts)]
+    built = []
+    for e, t in zip(es, ts):
+        rot, tf = object.__new__(RotationMatrix), object.__new__(Transform)
+        rot.__dict__["_e"] = e
+        stored = tf.__dict__
+        stored["rotation"], stored["_t"] = rot, t
+        built.append(tf)
+    return built

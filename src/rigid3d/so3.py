@@ -24,7 +24,7 @@ from .errors import (
     Rigid3dError,
     UnsupportedConvention,
 )
-from .validation import check_matrix, floats
+from .validation import _array, check_matrix, floats
 
 ORTHO_TOL = 1e-9
 SERIES_ANGLE = 1e-4  # exp, V and V^-1 take their coefficients from one half-angle evaluation, Taylor series below this angle
@@ -90,14 +90,6 @@ class _Array:
         return arr
 
 
-def _finite(v: list, name: str) -> list:
-    """A computed 3-vector's floats, checked as floats() checks a caller's vector: v itself, or the same Rigid3dError."""
-    x, y, z = v
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise Rigid3dError(f"{name} contains non-finite values")
-    return v
-
-
 def _overflow_ignored(fn):
     """fn under the library's one NumPy error state, which each public entry running array arithmetic on caller data wears."""
 
@@ -129,7 +121,7 @@ class RotationMatrix(_Value):
         self.__post_init__(m)
 
     def __post_init__(self, m):
-        m = np.asarray(m, dtype=float)
+        m = _array(m, "rotation matrix")
         e = m.ravel().tolist() if m.shape == (3, 3) else [math.nan] * 9  # a wrong shape is named below, not listed
         drift2, det = _defects(*e)
         # A drift within ORTHO_TOL implies nine finite elements, so this test is also the finiteness test;

@@ -9,6 +9,10 @@ stack's rows alike. The sites left, and why each may stay:
 
 - register_point_sets @: the cross-covariance H, which feeds only the
   SVD; it moves with the decompositions (ROADMAP item 1).
+- register_point_sets einsum: the two centroids, each np.einsum("ij->j")
+  of one operand. A one-operand einsum is a plain sum, by rows, with no
+  BLAS call; a second operand could hand it to BLAS, so each site is
+  listed.
 - pivot_calibrate and hand_eye_calibrate lstsq: LAPACK results.
 - _nearest_rotation svd and @: the library's one SVD and its polar
   factor u diag(1, 1, d) vt, a LAPACK result.
@@ -44,7 +48,7 @@ import collections
 import pathlib
 
 SRC = pathlib.Path(__file__).parents[1] / "src" / "rigid3d"
-NUMPY_PRODUCTS = {"dot", "matmul", "inner", "tensordot"}
+NUMPY_PRODUCTS = {"dot", "matmul", "inner", "tensordot", "einsum"}
 NUMPY_TRANSCENDENTALS = {"arccos", "arcsin", "arctan", "arctan2", "sin", "cos", "tan", "exp", "log", "hypot", "power"}
 NUMPY_ERROR_STATE = {"errstate", "seterr"}
 NUMPY_NAMES = NUMPY_PRODUCTS | NUMPY_TRANSCENDENTALS | NUMPY_ERROR_STATE
@@ -60,6 +64,7 @@ LIBM = {
 # (module, function, operation): number of sites
 EXPECTED = {
     ("calibration.py", "register_point_sets", "@"): 1,
+    ("calibration.py", "register_point_sets", "einsum"): 2,
     ("calibration.py", "pivot_calibrate", "lstsq"): 1,
     ("calibration.py", "hand_eye_calibrate", "lstsq"): 1,
     ("so3.py", "random_rotation", "qr"): 1,

@@ -13,7 +13,8 @@ from rigid3d.errors import (
     TooFewPoints,
     TooFewPoses,
 )
-from rigid3d.so3 import _sq
+from rigid3d.calibration import BLOCK
+from rigid3d.so3 import _apply, _sq
 
 from conftest import random_transform
 
@@ -118,6 +119,54 @@ class TestRegistration:
             for i, residual in enumerate(res.per_point_residuals):
                 expected = math.sqrt(_sq(*(r.transform_point(res.transform, p[i]) - q[i])))
                 assert residual == expected, (seed, i)
+
+    def test_output_bytes_do_not_follow_the_memory_layout(self):
+        # F columns would be summed pairwise and the BLAS product would follow the layout; C input is read as given
+        for seed in range(40):
+            rng = np.random.default_rng([seed, 28])
+            n = int(rng.integers(3, 5001))
+            p = rng.uniform(-100.0, 100.0, (n, 3))
+            t0 = random_transform(rng, 50.0)
+            q = p @ t0.rotation.m.T + t0.translation + rng.normal(0.0, 1e-3, (n, 3))
+            wide_p, wide_q = np.zeros((2 * n, 5)), np.zeros((2 * n, 5))
+            wide_p[::2, 1:4], wide_q[::2, 1:4] = p, q
+            layouts = {
+                "C": (p, q),
+                "F": (np.asfortranarray(p), np.asfortranarray(q)),
+                "strided": (wide_p[::2, 1:4], wide_q[::2, 1:4]),
+            }
+            outs = {}
+            for name, (a, b) in layouts.items():
+                res = r.register_point_sets(a, b)
+                outs[name] = (r.to_matrix4(res.transform).tobytes(), res.rms_error, res.per_point_residuals.tobytes())
+            assert outs["F"] == outs["C"] and outs["strided"] == outs["C"], (seed, n)
+
+    @pytest.mark.parametrize("n", [3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+    def test_blocked_kernels_are_the_unblocked_formula(self, n):
+        rng = np.random.default_rng(n)
+        p = rng.uniform(-10.0, 10.0, (n, 3))
+        t0 = random_transform(rng, 5.0)
+        q = p @ t0.rotation.m.T + t0.translation + rng.normal(0.0, 1e-3, (n, 3))
+        res = r.register_point_sets(p, q)
+        e, t = res.transform.rotation._e, res.transform._t
+        moved = _apply(e, p.T)
+        residuals = np.sqrt(_sq(*[x + y - z for x, y, z in zip(moved, t, q.T)]))
+        assert res.per_point_residuals.tobytes() == residuals.tobytes()
+        transformed = np.stack(moved, axis=-1) + t
+        est = r.RigidRegistration().fit(p, q)
+        for pts in (p, np.asfortranarray(p)):
+            out = est.transform(pts)
+            assert out.flags.c_contiguous and out.tobytes() == transformed.tobytes()
+
+    def test_centroid_is_the_mean_bit_for_bit(self):
+        # register_point_sets sums each column with np.einsum("ij->j", p), in mean(axis=0)'s order
+        for seed in range(40):
+            rng = np.random.default_rng([seed, 2801])
+            n = int(rng.integers(1, 20_001))
+            scale = 10.0 ** rng.uniform(-6.0, 6.0)
+            wide = rng.standard_normal((n, 5)) * scale + rng.standard_normal(5) * 10.0 * scale
+            for p in (np.ascontiguousarray(wide[:, :3]), wide[:, 1:4], wide[:, ::2], wide[::-1, 2:]):
+                assert (np.einsum("ij->j", p) / n).tobytes() == p.mean(axis=0).tobytes(), (seed, n)
 
     def test_rms_matches_per_point(self, rng):
         p = rng.standard_normal((8, 3))

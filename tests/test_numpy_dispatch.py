@@ -1,9 +1,10 @@
 """Solver outputs at the sizes the solvers run at, bit for bit the same without NumPy's AVX2 and AVX-512 loops.
 
-The stacked kernels run on (9, n) and (3, n) rows, and registration's
-means and hand-eye's correlation M are NumPy reductions. NumPy picks each
-loop's SIMD version by the CPU, and NPY_DISABLE_CPU_FEATURES switches
-versions off for one process. A child with the X86_V4 (AVX-512) and X86_V3
+The stacked kernels run on (9, n) and (3, n) rows, registration's point
+kernels on blocks of those rows, and registration's means and hand-eye's
+correlation M are NumPy reductions. NumPy picks each loop's SIMD version
+by the CPU, and NPY_DISABLE_CPU_FEATURES switches versions off for one
+process. A child with the X86_V4 (AVX-512) and X86_V3
 (AVX2, FMA) loops off, on the same OpenBLAS kernel, must print the digests
 this process prints.
 """
@@ -17,6 +18,7 @@ import sys
 import numpy as np
 
 import rigid3d as r
+from rigid3d.calibration import BLOCK
 
 from test_cli import skip_unless_runnable
 
@@ -61,6 +63,14 @@ def solver_digests() -> str:
     put("hand-eye", [*r.to_matrix4(res.x).ravel(), res.rotation_rms, res.translation_rms])
     put("hand-eye residuals", res.per_motion_translation_residuals)
     put("HandEyeCalibrator.predict", matrices(r.HandEyeCalibrator().fit(motions, b_list).predict(motions)))
+
+    # F-ordered points, read in C order and run through the point kernels' blocks, the last one short
+    n = 3 * BLOCK + 5
+    p = np.asfortranarray(rng.uniform(-100, 100, (n, 3)))
+    q = np.asfortranarray(p[:, [0]] * m[:, 0] + p[:, [1]] * m[:, 1] + p[:, [2]] * m[:, 2] + rng.normal(0.0, 1e-3, (n, 3)))
+    res = r.register_point_sets(p, q)
+    put("F-ordered register", [*r.to_matrix4(res.transform).ravel(), res.rms_error, *res.per_point_residuals])
+    put("F-ordered RigidRegistration.transform", r.RigidRegistration().fit(p, q).transform(p))
     return "".join(f"{name}: {hashlib.sha256(b).hexdigest()}\n" for name, b in out.items())
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rigid3d as r
+from rigid3d import validation
 from rigid3d.errors import NotARotation, Rigid3dError
 from rigid3d.se3 import _build_transforms
 from rigid3d.validation import check_matrix
@@ -26,6 +27,23 @@ def test_error_messages(call, message):
     with pytest.raises(Rigid3dError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: r.Transform(np.eye(3), "abc"), "translation must be numeric: could not convert string to float: 'abc'"),
+        (lambda: r.register_point_sets("a", "b"), "source points must be numeric: could not convert string to float: 'a'"),
+        (lambda: r.RotationMatrix([["1", "0", "x"]] * 3), "rotation matrix must be numeric: could not convert string to float: 'x'"),
+        (
+            lambda: r.Twist(np.zeros(3), {}),
+            "twist angular part must be numeric: float() argument must be a string or a real number, not 'dict'",
+        ),
+    ],
+    ids=["Transform", "register_point_sets", "RotationMatrix", "Twist"],
+)
+def test_non_numeric_input_is_named(call, message):
+    raises_exactly(call, Rigid3dError, message)
 
 
 @pytest.mark.parametrize("n", [0, 1, 7])
@@ -136,14 +154,16 @@ def test_rotation_messages_keep_their_order(slot):
 
 
 def count_isfinite(monkeypatch) -> list:
+    """Count finiteness tests: np.isfinite over an array and the library's _finite over a vector's floats."""
     calls = []
-    real = np.isfinite
+    for target, name in ((np, "isfinite"), (validation, "_finite")):
+        real = getattr(target, name)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        def counting(*args, real=real, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(np, "isfinite", counting)
+        monkeypatch.setattr(target, name, counting)
     return calls
 
 

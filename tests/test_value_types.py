@@ -87,6 +87,7 @@ def test_the_counter_sees_a_constructor(monkeypatch, rng):
 def test_a_raw_twist_is_checked_once(monkeypatch, call):
     xi = np.array([1.0, -2.0, 3.0, 0.1, -0.2, 0.3])
     calls = counting(monkeypatch, validation, "_checked")
+    counting(monkeypatch, validation, "_finite", calls)
     out = r.se3_exp(xi) if call == "se3_exp" else r.Twist.from_array(xi)
     assert len(calls) == 1
     if call == "from_array":

@@ -26,7 +26,7 @@ SINGULAR_RATIO = 1e-9
 MAX_CONDITION = 1e8
 PARALLEL_AXIS_TOL = 1e-6
 MTM_RATIO = 1e-12
-BLOCK = 8192  # points per block of the point kernels: a row of a block is 64 KiB, so a block's rows stay in L2
+_BLOCK = 8192  # points per block of the point kernels: a row of a block is 64 KiB, so a block's rows stay in L2
 
 
 class RegistrationResult(_Value):
@@ -92,8 +92,8 @@ def register_point_sets(p, q) -> RegistrationResult:
 
 
 def _blocks(n: int) -> list[slice]:
-    """The slices of n points, BLOCK at a time, that the point kernels run on in turn, so a block's rows stay in cache."""
-    return [slice(i, i + BLOCK) for i in range(0, n, BLOCK)]
+    """The slices of n points, _BLOCK at a time, that the point kernels run on in turn, so a block's rows stay in cache."""
+    return [slice(i, i + _BLOCK) for i in range(0, n, _BLOCK)]
 
 
 @_overflow_ignored  # an overflowing residual is rejected by _rms

@@ -225,15 +225,7 @@ def _build_transforms(rs, ts) -> list[Transform]:
 
     _repair_stack passes only finite rotations within ORTHO_TOL, so only the
     translation stack gets the value types' finiteness check, once. Each
-    value stores its column's floats, written into its __dict__ as _new
-    writes them, without _new's keyword call.
+    value stores its column's floats.
     """
     es, ts = np.transpose(rs).tolist(), floats(np.transpose(ts), (None, 3), "translation")
-    built = []
-    for e, t in zip(es, ts):
-        rot, tf = object.__new__(RotationMatrix), object.__new__(Transform)
-        rot.__dict__["_e"] = e
-        stored = tf.__dict__
-        stored["rotation"], stored["_t"] = rot, t
-        built.append(tf)
-    return built
+    return [_new(Transform, rotation=_new(RotationMatrix, _e=e), _t=t) for e, t in zip(es, ts)]

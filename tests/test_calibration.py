@@ -13,7 +13,7 @@ from rigid3d.errors import (
     TooFewPoints,
     TooFewPoses,
 )
-from rigid3d.calibration import BLOCK
+from rigid3d.calibration import _BLOCK
 from rigid3d.so3 import _apply, _sq
 
 from conftest import random_transform
@@ -141,7 +141,7 @@ class TestRegistration:
                 outs[name] = (r.to_matrix4(res.transform).tobytes(), res.rms_error, res.per_point_residuals.tobytes())
             assert outs["F"] == outs["C"] and outs["strided"] == outs["C"], (seed, n)
 
-    @pytest.mark.parametrize("n", [3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+    @pytest.mark.parametrize("n", [3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
     def test_blocked_kernels_are_the_unblocked_formula(self, n):
         rng = np.random.default_rng(n)
         p = rng.uniform(-10.0, 10.0, (n, 3))
@@ -159,14 +159,13 @@ class TestRegistration:
             assert out.flags.c_contiguous and out.tobytes() == transformed.tobytes()
 
     def test_centroid_is_the_mean_bit_for_bit(self):
-        # register_point_sets sums each column with np.einsum("ij->j", p), in mean(axis=0)'s order
+        # register_point_sets sums each column of its C-ordered copy with np.einsum("ij->j", p), in mean(axis=0)'s order
         for seed in range(40):
             rng = np.random.default_rng([seed, 2801])
             n = int(rng.integers(1, 20_001))
             scale = 10.0 ** rng.uniform(-6.0, 6.0)
-            wide = rng.standard_normal((n, 5)) * scale + rng.standard_normal(5) * 10.0 * scale
-            for p in (np.ascontiguousarray(wide[:, :3]), wide[:, 1:4], wide[:, ::2], wide[::-1, 2:]):
-                assert (np.einsum("ij->j", p) / n).tobytes() == p.mean(axis=0).tobytes(), (seed, n)
+            p = rng.standard_normal((n, 3)) * scale + rng.standard_normal(3) * 10.0 * scale
+            assert (np.einsum("ij->j", p) / n).tobytes() == p.mean(axis=0).tobytes(), (seed, n)
 
     def test_rms_matches_per_point(self, rng):
         p = rng.standard_normal((8, 3))

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 import rigid3d as r
-from rigid3d.calibration import BLOCK
+from rigid3d.calibration import _BLOCK
 
 from test_cli import skip_unless_runnable
 
@@ -65,7 +65,7 @@ def solver_digests() -> str:
     put("HandEyeCalibrator.predict", matrices(r.HandEyeCalibrator().fit(motions, b_list).predict(motions)))
 
     # F-ordered points, read in C order and run through the point kernels' blocks, the last one short
-    n = 3 * BLOCK + 5
+    n = 3 * _BLOCK + 5
     p = np.asfortranarray(rng.uniform(-100, 100, (n, 3)))
     q = np.asfortranarray(p[:, [0]] * m[:, 0] + p[:, [1]] * m[:, 1] + p[:, [2]] * m[:, 2] + rng.normal(0.0, 1e-3, (n, 3)))
     res = r.register_point_sets(p, q)

@@ -25,6 +25,7 @@ from .validation import check_matrix
 SINGULAR_RATIO = 1e-9
 MAX_CONDITION = 1e8
 PARALLEL_AXIS_TOL = 1e-6
+_COS_PARALLEL_AXIS_TOL = math.cos(PARALLEL_AXIS_TOL)  # libm's cos, taken once at import
 MTM_RATIO = 1e-12
 _BLOCK = 8192  # points per block of the point kernels: a row of a block is 64 KiB, so a block's rows stay in L2
 
@@ -190,5 +191,5 @@ def _check_axis_diversity(alphas) -> None:
         raise DegenerateMotion("need at least 2 motions with nonzero rotation")
     x, y, z = axes[:, 1:] * axes[:, :1]
     # an axis is off the first by more than PARALLEL_AXIS_TOL where |cos| <= cos(PARALLEL_AXIS_TOL); a tie was, by arccos
-    if not np.any(np.abs(x + y + z) <= math.cos(PARALLEL_AXIS_TOL)):
+    if not np.any(np.abs(x + y + z) <= _COS_PARALLEL_AXIS_TOL):
         raise DegenerateMotion("all rotation axes are parallel: X is not unique")

@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     Rigid3dError,
 )
-from .pose_io import _pose_fields, _pose_from_fields, parse_points_csv, parse_pose_csv, relative_motions, report_json
+from .pose_io import _pose_fields, _pose_from_fields, _pose_lines, parse_points_csv, parse_pose_csv, relative_motions, report_json
 from .se3 import Transform, _matrix4, _transform, _twist, compose, se3_exp, se3_log
 from .so3 import EulerConvention, UnitQuaternion, _log, matrix_to_euler, quat_to_matrix
 
@@ -102,8 +102,9 @@ def _read(path: str, parse):
         raise ParseError(0, f"cannot read {path}: not UTF-8 text") from None
 
 
-def _load_poses(path: str) -> list[Transform]:
-    return _read(path, parse_pose_csv)
+def _load_poses(path: str, parse=parse_pose_csv) -> list[Transform]:
+    """The poses of a file: read whole for the solvers, or line by line with no NumPy (parse=_pose_lines)."""
+    return _read(path, parse)
 
 
 def _load_points(path: str) -> np.ndarray:
@@ -119,7 +120,7 @@ def _single_pose(args) -> Transform:
             return _pose_from_fields(vals)
         except NonUnitQuaternion:
             raise UsageError("--pose quaternion is not unit norm") from None
-    poses = _load_poses(args.input)
+    poses = _load_poses(args.input, _pose_lines)
     if not poses:
         raise ParseError(0, f"{args.input} contains no poses")
     return poses[0]
@@ -152,7 +153,7 @@ def _cmd_compose(args):
             vals = _inline_floats(item, 7, "inline pose")
             poses = [_transform(quat_to_matrix(UnitQuaternion(*vals[3:])), vals[:3])]
         else:
-            poses = _load_poses(item)
+            poses = _load_poses(item, _pose_lines)
             if not poses:
                 raise ParseError(0, f"{item} contains no poses")
         for pose in poses:

@@ -7,22 +7,37 @@ renormalized. Point files carry ``x,y,z`` with the same comment/header
 rules. parse_pose_csv gives a list of Transforms and parse_points_csv an
 (n, 3) array; the serializers take the same types back. This module also
 reads the CLI's ``--pose`` text, so both entry points share one gate.
+
+Both parsers read a seekable stream whole where they can (_whole) and
+otherwise line by line, with the same values and errors: the whole read
+hands every text it refuses to the per-line path.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 
 from . import _numpy as np
 from .errors import NonUnitQuaternion, ParseError, TooFewPoses
 from .se3 import Transform, _build_transforms, _compose_stack, _inverse_stack, _stack_transforms, _transform
-from .so3 import UnitQuaternion, _overflow_ignored, _quat_norm, matrix_to_quat, quat_to_matrix
+from .so3 import (
+    UnitQuaternion,
+    _overflow_ignored,
+    _quat_elements,
+    _quat_norm,
+    _quat_sq,
+    _repair_stack,
+    matrix_to_quat,
+    quat_to_matrix,
+)
 from .validation import check_matrix
 
 POSE_HEADER = "tx,ty,tz,qw,qx,qy,qz"
 POINT_HEADER = "x,y,z"
 QUAT_REJECT_TOL = 1e-3
+_NUMERIC = b"0123456789eE+-."  # the characters of a field that the whole read takes
 
 
 def _data_lines(stream, header: str):
@@ -73,14 +88,88 @@ def _pose_fields(t: Transform) -> dict:
 
 def parse_pose_csv(stream) -> list[Transform]:
     """Parse poses; quaternions are renormalized, gross errors rejected."""
+    poses = _whole(stream, POSE_HEADER, 7, _poses)
+    return _pose_lines(stream) if poses is None else poses
+
+
+def _pose_lines(stream) -> list[Transform]:
+    """parse_pose_csv line by line, with no NumPy: the CLI's single-pose and compose reads, and every pose error."""
     lines = _data_lines(stream, POSE_HEADER)
     return [_pose_from_fields(_parse_floats(lineno, line, 7), lineno) for lineno, line in lines]
 
 
 def parse_points_csv(stream) -> np.ndarray:
     """Parse points into an (n, 3) array; an empty file gives shape (0, 3)."""
-    rows = [_parse_floats(lineno, line, 3) for lineno, line in _data_lines(stream, POINT_HEADER)]
-    return np.array(rows, dtype=float).reshape(-1, 3)
+    points = _whole(stream, POINT_HEADER, 3, lambda rows: rows)
+    if points is None:
+        rows = [_parse_floats(lineno, line, 3) for lineno, line in _data_lines(stream, POINT_HEADER)]
+        points = np.array(rows, dtype=float).reshape(-1, 3)
+    return points
+
+
+def _whole(stream, header: str, count: int, convert):
+    """convert of the rows of a seekable stream read whole (_rows), or None with the stream back at its start.
+
+    convert refuses rows by returning None too, and an undecodable text is
+    refused: read line by line, an error before the bad bytes comes first.
+    """
+    try:
+        start = stream.tell() if stream.seekable() else None
+    except (AttributeError, OSError):  # an iterable of lines, or a file part-read with next()
+        start = None
+    if start is None:
+        return None
+    try:
+        rows = _rows(stream.read(), header, count)
+    except UnicodeDecodeError:
+        rows = None
+    found = None if rows is None else convert(rows)
+    if found is None:
+        stream.seek(start)
+    return found
+
+
+def _rows(text: str, header: str, count: int):
+    """The data rows of a pose or point text as an (n, count) float64 array; None where the per-line path must read it.
+
+    NumPy loads only for a text that passes a pure-Python scan: the exact
+    header or none, then n >= 1 lines of count fields of _NUMERIC
+    characters. np.loadtxt then reads each field as float() does; a field
+    it rejects or a non-finite value gives None.
+    """
+    if not (isinstance(text, str) and text.isascii()):  # a binary stream gets the per-line path's TypeError
+        return None
+    data = text.encode("ascii")
+    skip = data.startswith(f"{header}\n".encode())
+    # what is left of each line without its numeric characters; the header holds none, so it is left whole
+    skeleton = data.translate(None, _NUMERIC)[len(header) + 1 if skip else 0 :]
+    if not skeleton.endswith(b"\n"):
+        skeleton += b"\n"
+    if skeleton != (b"," * (count - 1) + b"\n") * skeleton.count(b"\n"):  # an empty body is b"\n" here, and refused
+        return None
+    try:
+        rows = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, skiprows=int(skip), ndmin=2, encoding="ascii")
+    except ValueError:
+        return None
+    return rows if np.count_nonzero(np.isfinite(rows)) == rows.size else None
+
+
+@_overflow_ignored  # a norm that overflows is inf: that row goes to the per-line path, which names it
+def _poses(rows) -> list[Transform] | None:
+    """_pose_from_fields of each (n, 7) pose row, on the rows; None where a norm is off 1 beyond QUAT_REJECT_TOL.
+
+    Both normalizations, _pose_from_fields' and UnitQuaternion's, and
+    quat_to_matrix's elements run in their order on the columns, so each
+    Transform is the per-line one bit for bit. UnitQuaternion's 1e-6 gate
+    cannot fail: the first norm is within QUAT_REJECT_TOL of 1.
+    """
+    q = rows.T[3:]
+    norm = np.sqrt(_quat_sq(*q))
+    if not np.all(np.abs(norm - 1.0) <= QUAT_REJECT_TOL):  # tested before dividing: a norm may be 0
+        return None
+    q = [c / norm for c in q]
+    unit = np.sqrt(_quat_sq(*q))
+    return _build_transforms(_repair_stack(_quat_elements(*(c / unit for c in q))), rows.T[:3])
 
 
 def serialize_pose_csv(poses) -> str:

@@ -233,14 +233,7 @@ def quat_to_matrix(q: UnitQuaternion) -> RotationMatrix:
     """Direction-cosine matrix of a Hamilton, scalar-first quaternion."""
     if not isinstance(q, UnitQuaternion):
         q = UnitQuaternion(*q)
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return _repair(
-        [
-            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
-            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
-            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
-        ]
-    )
+    return _repair(_quat_elements(q.w, q.x, q.y, q.z))
 
 
 def matrix_to_quat(r_mat: RotationMatrix) -> UnitQuaternion:
@@ -520,7 +513,21 @@ def _nearest_rotation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
 def _quat_norm(w, x, y, z) -> float:
     """Euclidean norm of a quaternion's components, + and * only; inf where a square overflows."""
-    return math.sqrt(w * w + x * x + y * y + z * z)
+    return math.sqrt(w * w + x * x + y * y + z * z)  # _quat_sq, written out: UnitQuaternion calls this on every value
+
+
+def _quat_sq(w, x, y, z):
+    """Squared norm of a quaternion, _quat_norm's sum, its components as _apply takes them."""
+    return w * w + x * x + y * y + z * z
+
+
+def _quat_elements(w, x, y, z) -> list:
+    """Nine row-major elements of the rotation of a unit quaternion, its components as _apply takes them."""
+    return [
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ]
 
 
 def _canonical(q: tuple) -> tuple:
@@ -534,12 +541,13 @@ def _canonical(q: tuple) -> tuple:
 # Stacks. Inside the library a stack of n rotations is its nine rows, the
 # row-major elements of each rotation as length-n arrays (a (9, n) array or
 # a list of nine arrays), and a stack of n vectors is its three rows. _mul,
-# _apply, _transpose, _sq, _defects and _shepperd_sums run on a stack's rows
-# as they run on a value's floats, so each stacked result is, bit for bit,
-# what a per-sample loop over the scalar functions gives. A single operand
-# enters as its Python floats, so each product is a float times a row, in
-# _apply's order. Public (n, 3) arrays are transposed at the solvers' edge,
-# and the kernels run under the error state of the entry (_overflow_ignored).
+# _apply, _transpose, _sq, _quat_sq, _quat_elements, _defects and
+# _shepperd_sums run on a stack's rows as they run on a value's floats, so
+# each stacked result is, bit for bit, what a per-sample loop over the
+# scalar functions gives. A single operand enters as its Python floats, so
+# each product is a float times a row, in _apply's order. Public (n, 3)
+# arrays are transposed at the solvers' edge, and the kernels run under the
+# error state of the entry (_overflow_ignored).
 
 
 def _repair_stack(ms):

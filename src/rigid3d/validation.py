@@ -30,13 +30,11 @@ def _finite(v: list, name: str) -> list:
 
 
 def _array(x, name: str) -> np.ndarray:
-    """x as a float64 array; Rigid3dError, naming x, where NumPy builds an array of x but cannot read it as numbers."""
+    """x as a float64 array; Rigid3dError, naming x, where NumPy cannot read it as numbers (a string, a ragged list)."""
     try:
         return np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
-        message = f"{name} must be numeric: {exc}"
-    np.asarray(x)  # a ragged list, of which NumPy builds no array at all, keeps NumPy's ValueError
-    raise Rigid3dError(message)
+        raise Rigid3dError(f"{name} must be numeric: {exc}") from None
 
 
 def _checked(arr: np.ndarray, shape: tuple, name: str) -> np.ndarray:

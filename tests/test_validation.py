@@ -136,8 +136,8 @@ def test_entries_of_1e200(slot):
 
 @pytest.mark.parametrize("slot", SLOTS)
 def test_ragged_list_message(slot):
-    build, _, shape = SLOTS[slot]
-    raises_exactly(lambda: build(RAGGED[shape]), ValueError, RAGGED_MESSAGE)
+    build, name, shape = SLOTS[slot]
+    raises_exactly(lambda: build(RAGGED[shape]), Rigid3dError, f"{name} must be numeric: {RAGGED_MESSAGE}")
 
 
 @pytest.mark.parametrize("slot", ["RotationMatrix", "Transform.rotation"])

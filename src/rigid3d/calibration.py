@@ -25,7 +25,7 @@ from .validation import check_matrix
 SINGULAR_RATIO = 1e-9
 MAX_CONDITION = 1e8
 PARALLEL_AXIS_TOL = 1e-6
-_COS_PARALLEL_AXIS_TOL = math.cos(PARALLEL_AXIS_TOL)  # libm's cos, taken once at import
+_COS_PARALLEL_AXIS_TOL = 0.9999999999995  # cos(PARALLEL_AXIS_TOL), correctly rounded: no libm call
 MTM_RATIO = 1e-12
 _BLOCK = 8192  # points per block of the point kernels: a row of a block is 64 KiB, so a block's rows stay in L2
 
@@ -104,7 +104,7 @@ def pivot_calibrate(samples) -> PivotResult:
     Model: R_i g + t_i = b for every pose, solved as one stacked linear
     least-squares system in (g, b).
     """
-    rs, ts = _stack_transforms(samples)
+    rs, ts = _stack_transforms(samples, "samples")
     n = rs.shape[1]
     if n < 3:
         raise TooFewPoses("pivot calibration needs at least 3 poses")
@@ -133,8 +133,8 @@ def hand_eye_calibrate(a_list, b_list) -> HandEyeResult:
     the polar factor u vt of the SVD M^T = u diag(s) vt, then the translation from
     the stacked linear system (R_Ai - I) t = R t_Bi - t_Ai.
     """
-    ra, ta = _stack_transforms(a_list)
-    rb, tb = _stack_transforms(b_list)
+    ra, ta = _stack_transforms(a_list, "a_list")
+    rb, tb = _stack_transforms(b_list, "b_list")
     n = ra.shape[1]
     if n != rb.shape[1]:
         raise TooFewMotions("motion lists must have equal length")

@@ -101,7 +101,7 @@ class PivotCalibrator(BaseEstimator):
     def predict(self, X):
         """World-frame tip position for each pose in X; a result that overflows raises Rigid3dError."""
         self._fitted("tip_offset_")
-        rs, ts = _stack_transforms(X)
+        rs, ts = _stack_transforms(X, "X")
         out = _add_columns(np.empty((rs.shape[1], 3)), _apply(rs, self.tip_offset_.tolist()), ts)
         return check_matrix(out, (None, 3), "predicted tips")
 
@@ -125,6 +125,6 @@ class HandEyeCalibrator(BaseEstimator):
         """Map each motion A to the predicted motion B = X^-1 A X; a translation that overflows raises Rigid3dError."""
         self._fitted("transform_")
         x, x_inv = self.transform_, inverse(self.transform_)
-        rs, ts = _stack_transforms(X)
+        rs, ts = _stack_transforms(X, "X")
         rs, ts = _compose_stack(x_inv.rotation._e, x_inv._t, rs, ts)
         return _build_transforms(*_compose_stack(rs, ts, x.rotation._e, x._t))

@@ -18,12 +18,14 @@ from __future__ import annotations
 import io
 import json
 import math
+from collections.abc import Iterable
 
 from . import _numpy as np
 from .errors import NonUnitQuaternion, ParseError, TooFewPoses
 from .se3 import Transform, _build_transforms, _compose_stack, _inverse_stack, _stack_transforms, _transform
 from .so3 import (
     UnitQuaternion,
+    _as,
     _overflow_ignored,
     _quat_elements,
     _quat_norm,
@@ -41,9 +43,9 @@ _NUMERIC = b"0123456789eE+-."  # the characters of a field that the whole read t
 
 
 def _data_lines(stream, header: str):
-    """Yield (line_number, stripped_text) skipping comments, blanks, header."""
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
+    """Yield (line_number, stripped_text) skipping comments, blanks, header; _as names a non-iterable stream or non-str line."""
+    for lineno, raw in enumerate(_as(Iterable, stream, "stream"), start=1):
+        line = _as(str, raw, f"line {lineno}").strip()
         if not line or line.startswith("#"):
             continue
         if line.replace(" ", "") == header:
@@ -137,7 +139,7 @@ def _rows(text: str, header: str, count: int):
     characters. np.loadtxt then reads each field as float() does; a field
     it rejects or a non-finite value gives None.
     """
-    if not (isinstance(text, str) and text.isascii()):  # a binary stream gets the per-line path's TypeError
+    if not (isinstance(text, str) and text.isascii()):  # a binary stream gets the per-line path's Rigid3dError
         return None
     data = text.encode("ascii")
     skip = data.startswith(f"{header}\n".encode())
@@ -173,7 +175,8 @@ def _poses(rows) -> list[Transform] | None:
 
 
 def serialize_pose_csv(poses) -> str:
-    return _csv(POSE_HEADER, (_pose_fields(t).values() for t in poses))
+    items = enumerate(_as(Iterable, poses, "poses"))
+    return _csv(POSE_HEADER, (_pose_fields(_as(Transform, t, f"item {i}")).values() for i, t in items))
 
 
 def serialize_points_csv(points) -> str:
@@ -188,7 +191,7 @@ def _csv(header: str, rows) -> str:
 @_overflow_ignored  # an overflow is rejected by _build_transforms' translation check
 def relative_motions(poses) -> list[Transform]:
     """Consecutive relative motions T_i^-1 T_{i+1} of an absolute pose stream; an overflow raises Rigid3dError."""
-    rs, ts = _stack_transforms(poses)
+    rs, ts = _stack_transforms(poses, "poses")
     if rs.shape[1] < 2:
         raise TooFewPoses("need at least 2 poses to form relative motions")
     inv_r, inv_t = _inverse_stack(rs[:, :-1], ts[:, :-1])

@@ -8,13 +8,15 @@ adjoint of T = (R, t) acting on that ordering is the 6x6 block matrix
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from itertools import chain
 
 from . import _numpy as np
-from .errors import InvalidHomogeneousRow, NotARotation, Rigid3dError
+from .errors import InvalidHomogeneousRow, NotARotation
 from .so3 import (
     RotationMatrix,
     _apply,
+    _as,
     _coefficients,
     _defects,
     _Array,
@@ -44,9 +46,7 @@ class Transform(_Value):
         self.__post_init__(rotation, translation)
 
     def __post_init__(self, rotation, translation):
-        if not isinstance(rotation, RotationMatrix):
-            rotation = RotationMatrix(rotation)
-        self.__dict__.update(rotation=rotation, _t=floats(translation, (3,), "translation"))
+        self.__dict__.update(rotation=_as(RotationMatrix, rotation, "rotation"), _t=floats(translation, (3,), "translation"))
 
     @staticmethod
     def identity() -> "Transform":
@@ -57,6 +57,7 @@ class Twist(_Value):
     """se(3) element: linear part v first, angular part w second."""
 
     _fields = ("v", "w")
+    _raw = staticmethod(lambda xi: Twist.from_array(xi))
     v, w = _Array("_v", (3,)), _Array("_w", (3,))
 
     def __init__(self, v, w):
@@ -99,37 +100,40 @@ def _twist(v: list, w: list) -> Twist:
 
 def compose(a: Transform, b: Transform) -> Transform:
     """Group product: rotation R_a R_b, translation R_a t_b + t_a."""
+    a, b = _as(Transform, a, "a"), _as(Transform, b, "b")
     ra = a.rotation._e
     t = [x + y for x, y in zip(_apply(ra, b._t), a._t)]
     return _transform(_repair(_mul(ra, b.rotation._e)), t)
 
 
 def inverse(t: Transform) -> Transform:
+    t = _as(Transform, t, "t")
     rot = _repair(_transpose(t.rotation._e))
     return _transform(rot, [-x for x in _apply(rot._e, t._t)])
 
 
 def transform_point(t: Transform, p) -> np.ndarray:
     """R p + t; a result that overflows raises Rigid3dError."""
+    t = _as(Transform, t, "t")
     rp = _apply(t.rotation._e, floats(p, (3,), "point"))
     return check_matrix([x + y for x, y in zip(rp, t._t)], (3,), "transformed point")
 
 
 def transform_direction(t: Transform, v) -> np.ndarray:
     """R v; a result that overflows raises Rigid3dError."""
-    rv = _apply(t.rotation._e, floats(v, (3,), "direction"))
+    rv = _apply(_as(Transform, t, "t").rotation._e, floats(v, (3,), "direction"))
     return check_matrix(rv, (3,), "transformed direction")
 
 
 def se3_exp(xi: Twist) -> Transform:
     """Exponential map: exp(hat(w)) and V(w) v from the one Rodrigues evaluation so3_exp also uses, of one half-angle pair."""
-    if not isinstance(xi, Twist):
-        xi = Twist.from_array(xi)
+    xi = _as(Twist, xi, "xi")
     return _transform(*_rodrigues(xi._w, xi._v))
 
 
 def se3_log(t: Transform) -> Twist:
     """Logarithm map; inverse of se3_exp for rotation angle below pi: V(w)^-1 t = (I - K/2 + d K^2) t, d from so3._coefficients."""
+    t = _as(Transform, t, "t")
     w = _log(t.rotation._e)
     k = _hat(w)
     v_inv = _series(-0.5, _coefficients(math.sqrt(_sq(*w)))[3], k, _mul(k, k))  # e - x/2 is e + (-x/2) exactly
@@ -138,6 +142,7 @@ def se3_log(t: Transform) -> Twist:
 
 def adjoint(t: Transform) -> np.ndarray:
     """6x6 adjoint [[R, hat(t) R], [0, R]] for (v, w)-ordered twists; a result that overflows raises Rigid3dError."""
+    t = _as(Transform, t, "t")
     e = t.rotation._e
     out = np.zeros((6, 6))
     out[:3, :3] = out[3:, 3:] = _rows(e)
@@ -147,13 +152,15 @@ def adjoint(t: Transform) -> np.ndarray:
 
 def adjoint_apply_twist(t: Transform, xi: Twist) -> Twist:
     """Change the frame of a twist: w' = R w, v' = R v + t x (R w)."""
-    rw, rv = _act(t, xi._w, xi._v)
+    xi = _as(Twist, xi, "xi")
+    rw, rv = _act(_as(Transform, t, "t"), xi._w, xi._v)
     return _twist(rv, rw)
 
 
 def transform_wrench(t: Transform, h: Wrench) -> Wrench:
     """Dual (co-adjoint) map keeping the power pairing f.v + tau.w invariant."""
-    rf, rtau = _act(t, h._f, h._tau)
+    h = _as(Wrench, h, "h")
+    rf, rtau = _act(_as(Transform, t, "t"), h._f, h._tau)
     return _new(Wrench, _f=_finite(rf, "force"), _tau=_finite(rtau, "torque"))
 
 
@@ -166,7 +173,7 @@ def _act(t: Transform, a: list[float], b: list[float]) -> tuple[list[float], lis
 
 
 def to_matrix4(t: Transform) -> np.ndarray:
-    return np.array(_matrix4(t))
+    return np.array(_matrix4(_as(Transform, t, "t")))
 
 
 def _matrix4(t: Transform) -> list[list[float]]:
@@ -187,20 +194,22 @@ def from_matrix4(m) -> Transform:
     return _transform(_repair(block), m[:3, 3].tolist())
 
 
-def _stack_transforms(transforms) -> tuple[np.ndarray, np.ndarray]:
+def _stack_transforms(transforms, name: str) -> tuple[np.ndarray, np.ndarray]:
     """The rotation rows (9, n) and translation rows (3, n) of an iterable of Transforms, from their stored floats.
 
-    Each is the transposed view of one (n, 9) or (n, 3) buffer. An element
-    that is not a Transform raises Rigid3dError, naming its index and type.
+    Each is the transposed view of one (n, 9) or (n, 3) buffer. A non-iterable
+    transforms, named name, or an element that is not a Transform, named by its index, raises _as's Rigid3dError.
     """
-    transforms = list(transforms)
+    transforms = list(_as(Iterable, transforms, name))
     try:
         rs = np.fromiter(chain.from_iterable([t.rotation._e for t in transforms]), float, 9 * len(transforms))
         ts = np.fromiter(chain.from_iterable([t._t for t in transforms]), float, 3 * len(transforms))
     except AttributeError:
-        i, t = next((i, t) for i, t in enumerate(transforms) if not isinstance(t, Transform))
-        raise Rigid3dError(f"item {i} is of type {type(t).__name__}, not Transform") from None
-    return rs.reshape(-1, 9).T, ts.reshape(-1, 3).T
+        pass
+    else:
+        return rs.reshape(-1, 9).T, ts.reshape(-1, 3).T
+    for i, t in enumerate(transforms):
+        _as(Transform, t, f"item {i}")
 
 
 def _inverse_stack(rs, ts) -> tuple:

@@ -101,6 +101,19 @@ def _overflow_ignored(fn):
     return run
 
 
+def _as(cls, x, name: str):
+    """x as a cls, the public entries' one coercion rule: x if a cls, else cls._raw(x), which reads cls's one raw form.
+
+    Where cls has no _raw (Transform, Wrench, EulerAngles), or x is another library value, Rigid3dError names x's type.
+    """
+    if isinstance(x, cls):
+        return x
+    raw = getattr(cls, "_raw", None)
+    if raw is None or isinstance(x, _Value):
+        raise Rigid3dError(f"{name} is of type {type(x).__name__}, not {cls.__name__}")
+    return raw(x)
+
+
 def _new(cls, **stored):
     """A value of cls holding the given floats (and rotation or convention), computed and checked by the library: no validation."""
     obj = object.__new__(cls)
@@ -115,6 +128,7 @@ class RotationMatrix(_Value):
     """
 
     _fields = ("m",)
+    _raw = staticmethod(lambda m: RotationMatrix(m))
     m = _Array("_e", (3, 3))
 
     def __init__(self, m):
@@ -146,12 +160,16 @@ class UnitQuaternion(_Value):
     """
 
     _fields = ("w", "x", "y", "z")
+    _raw = staticmethod(lambda q: UnitQuaternion(*floats(q, (4,), "quaternion")))
 
     def __init__(self, w, x, y, z):
         self.__post_init__(w, x, y, z)
 
     def __post_init__(self, w, x, y, z):
-        w, x, y, z = float(w), float(x), float(y), float(z)  # so an overflowing square is inf, with no warning
+        try:
+            w, x, y, z = float(w), float(x), float(y), float(z)  # so an overflowing square is inf, with no warning
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise Rigid3dError(f"quaternion must be numeric: {exc}") from None
         n = _quat_norm(w, x, y, z)
         if not abs(n - 1.0) <= 1e-6:  # written so that a NaN norm is rejected
             raise NotUnitQuaternion(f"quaternion norm {n:.9g} deviates from 1 by more than 1e-6")
@@ -226,19 +244,18 @@ def so3_log(r_mat: RotationMatrix) -> np.ndarray:
     quaternion (w, v) of matrix_to_quat. At exactly pi its sign rule makes the first nonzero axis component
     positive; below about 1e-8 the result is the antisymmetric part (R - R^T)^vee / 2, bit for bit.
     """
-    return np.array(_log(_as_rotation(r_mat)))
+    return np.array(_log(_as(RotationMatrix, r_mat, "r_mat")._e))
 
 
 def quat_to_matrix(q: UnitQuaternion) -> RotationMatrix:
     """Direction-cosine matrix of a Hamilton, scalar-first quaternion."""
-    if not isinstance(q, UnitQuaternion):
-        q = UnitQuaternion(*q)
+    q = _as(UnitQuaternion, q, "q")
     return _repair(_quat_elements(q.w, q.x, q.y, q.z))
 
 
 def matrix_to_quat(r_mat: RotationMatrix) -> UnitQuaternion:
     """Shepperd's method: branch on the largest of trace and diagonal entries."""
-    k, row = _shepperd(_as_rotation(r_mat))
+    k, row = _shepperd(_as(RotationMatrix, r_mat, "r_mat")._e)
     s = math.sqrt(row[k]) * 2.0  # 4 |q_k|
     w, x, y, z = row
     q = [w / s, x / s, y / s, z / s]
@@ -248,6 +265,7 @@ def matrix_to_quat(r_mat: RotationMatrix) -> UnitQuaternion:
 
 def quat_compose(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
     """Hamilton product a * b, renormalized and canonicalized."""
+    a, b = _as(UnitQuaternion, a, "a"), _as(UnitQuaternion, b, "b")
     w = a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z
     x = a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y
     y = a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x
@@ -257,6 +275,7 @@ def quat_compose(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
 
 def quat_inverse(q: UnitQuaternion) -> UnitQuaternion:
     """Conjugate (== inverse for unit quaternions), canonicalized."""
+    q = _as(UnitQuaternion, q, "q")
     return UnitQuaternion(*_canonical((q.w, -q.x, -q.y, -q.z)))
 
 
@@ -277,7 +296,7 @@ def _rz(a: float) -> tuple:
 
 def euler_to_matrix(e: EulerAngles) -> RotationMatrix:
     """Rz Ry Rx: both conventions store the angles about x, y and z, in that order."""
-    ax, ay, az = e._a
+    ax, ay, az = _as(EulerAngles, e, "e")._a
     return _repair(_mul(_mul(_rz(az), _ry(ay)), _rx(ax)))
 
 
@@ -292,7 +311,7 @@ def matrix_to_euler(
     1e-7 of |pitch| == pi/2 the roll is set to 0 and yaw absorbs the
     remaining degree of freedom.
     """
-    m00, m01, _, m10, m11, _, m20, m21, m22 = _as_rotation(r_mat)
+    m00, m01, _, m10, m11, _, m20, m21, m22 = _as(RotationMatrix, r_mat, "r_mat")._e
     pitch = math.atan2(-m20, math.hypot(m00, m10))
     if (math.pi / 2.0) - abs(pitch) < 1e-7:
         roll = 0.0
@@ -308,7 +327,7 @@ def matrix_to_euler(
 
 def rotate(r_mat: RotationMatrix, v) -> np.ndarray:
     """Apply the rotation to a 3-vector; a result that overflows raises Rigid3dError."""
-    m = _as_rotation(r_mat)
+    m = _as(RotationMatrix, r_mat, "r_mat")._e
     return check_matrix(_apply(m, floats(v, (3,), "vector")), (3,), "rotated vector")
 
 
@@ -330,13 +349,13 @@ def geodesic_distance(a: RotationMatrix, b: RotationMatrix) -> float:
     Computed as the norm of the log map, which stays accurate near zero
     where arccos of the trace loses half the available precision.
     """
-    rel = _mul(_transpose(_as_rotation(a)), _as_rotation(b))
+    rel = _mul(_transpose(_as(RotationMatrix, a, "a")._e), _as(RotationMatrix, b, "b")._e)
     return math.sqrt(_sq(*_log(_repair(rel)._e)))
 
 
 def random_rotation(rng: np.random.Generator) -> RotationMatrix:
     """Uniform random rotation (QR of a Gaussian matrix with sign fix)."""
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q, r = np.linalg.qr(_as(np.random.Generator, rng, "rng").standard_normal((3, 3)))
     q = q @ np.diag(np.sign(np.diag(r)))
     if np.linalg.det(q) < 0:
         q[:, 2] = -q[:, 2]
@@ -413,11 +432,6 @@ def _shepperd_sums(m00, m01, m02, m10, m11, m12, m20, m21, m22):
         wy, xy, 1.0 - m00 + m11 - m22, yz,
         wz, xz, yz, 1.0 - m00 - m11 + m22,
     )
-
-
-def _as_rotation(r_mat) -> list[float]:
-    """The nine stored floats of a RotationMatrix, or of a raw array validated as one."""
-    return (r_mat if isinstance(r_mat, RotationMatrix) else RotationMatrix(r_mat))._e
 
 
 def _rows(e) -> tuple:

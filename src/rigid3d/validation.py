@@ -30,10 +30,10 @@ def _finite(v: list, name: str) -> list:
 
 
 def _array(x, name: str) -> np.ndarray:
-    """x as a float64 array; Rigid3dError, naming x, where NumPy cannot read it as numbers (a string, a ragged list)."""
+    """x as a float64 array; Rigid3dError, naming x, where NumPy cannot read it as numbers (a string, a ragged list, 10**400)."""
     try:
         return np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise Rigid3dError(f"{name} must be numeric: {exc}") from None
 
 

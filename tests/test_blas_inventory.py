@@ -78,7 +78,6 @@ EXPECTED_TRANSCENDENTALS = {}
 
 # one sin/cos pair of theta/2 serves exp, V and V^-1; each Euler factor takes its own pair
 EXPECTED_LIBM = {
-    ("calibration.py", "", "math.cos"): 1,  # cos(PARALLEL_AXIS_TOL), once at import
     ("so3.py", "_coefficients", "math.sin"): 1,
     ("so3.py", "_coefficients", "math.cos"): 1,
     ("so3.py", "_rx", "math.sin"): 1,

@@ -11,11 +11,12 @@ where the reference's largest angle lies within 1e-9 rad of the threshold.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 import rigid3d as r
-from rigid3d.calibration import PARALLEL_AXIS_TOL, _check_axis_diversity
+from rigid3d.calibration import _COS_PARALLEL_AXIS_TOL, PARALLEL_AXIS_TOL, _check_axis_diversity
 from rigid3d.errors import DegenerateMatrix, DegenerateMotion, InvalidHomogeneousRow, NotSkewSymmetric
 from rigid3d.so3 import _nearest_rotation, _sq
 
@@ -108,3 +109,17 @@ def test_axis_diversity_decision_matches_the_dot_product():
             assert abs(axis_angles_ref(alphas).max() - PARALLEL_AXIS_TOL) < 1e-9, alphas.tolist()
             moved += 1
     assert moved < SAMPLES // 10  # a moved decision is a 1-ulp tie, rare even this close to the threshold
+
+
+def test_cos_parallel_axis_tol_is_the_correctly_rounded_cosine():
+    # cos of the double PARALLEL_AXIS_TOL by its Taylor series in exact rationals: the series alternates with
+    # shrinking terms, so consecutive partial sums bracket the cosine, and both round to the stored literal
+    x2 = Fraction(PARALLEL_AXIS_TOL) * Fraction(PARALLEL_AXIS_TOL)
+    total, term, sums = Fraction(0), Fraction(1), []
+    for k in range(6):
+        total += term
+        sums.append(total)
+        term = -term * x2 / ((2 * k + 1) * (2 * k + 2))
+    low, high = sorted(sums[-2:])
+    assert 0 < high - low < Fraction(1, 10**60)
+    assert float(low) == float(high) == _COS_PARALLEL_AXIS_TOL

@@ -142,7 +142,7 @@ def test_stack_check_passes_valid_stack(rng):
 def test_strided_rows_give_the_bytes_of_contiguous_rows(rng):
     # _stack_transforms returns each stack as the transposed view of one (n, 9) or (n, 3) buffer
     poses = [random_transform(rng, trans_scale=10.0) for _ in range(50)]
-    rs, ts = _stack_transforms(poses)
+    rs, ts = _stack_transforms(poses, "poses")
     assert not rs.flags.c_contiguous and not ts.flags.c_contiguous
     crs, cts = np.ascontiguousarray(rs), np.ascontiguousarray(ts)
     e, t = poses[0].rotation._e, poses[0]._t

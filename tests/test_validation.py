@@ -140,6 +140,24 @@ def test_ragged_list_message(slot):
     raises_exactly(lambda: build(RAGGED[shape]), Rigid3dError, f"{name} must be numeric: {RAGGED_MESSAGE}")
 
 
+# the stored slots, and the scalar entries that read a caller's numbers without storing them
+NUMERIC_ENTRIES = {
+    **SLOTS,
+    "UnitQuaternion": (lambda x: r.UnitQuaternion(*x), "quaternion", (4,)),
+    "so3_exp": (r.so3_exp, "rotation vector", (3,)),
+    "hat3": (r.hat3, "vector", (3,)),
+}
+
+
+@pytest.mark.parametrize("entry", NUMERIC_ENTRIES)
+def test_int_past_double_range_message(entry):
+    # float() and np.asarray raise OverflowError on such an int; it is named as any other unreadable number
+    build, name, shape = NUMERIC_ENTRIES[entry]
+    x = np.eye(3).tolist() if shape == (3, 3) else [0.0] * shape[0]
+    (x[0] if shape == (3, 3) else x)[0] = 10**400
+    raises_exactly(lambda: build(x), Rigid3dError, f"{name} must be numeric: int too large to convert to float")
+
+
 @pytest.mark.parametrize("slot", ["RotationMatrix", "Transform.rotation"])
 def test_rotation_messages_keep_their_order(slot):
     build = SLOTS[slot][0]

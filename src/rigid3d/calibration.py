@@ -27,6 +27,7 @@ MAX_CONDITION = 1e8
 PARALLEL_AXIS_TOL = 1e-6
 _COS_PARALLEL_AXIS_TOL = 0.9999999999995  # cos(PARALLEL_AXIS_TOL), correctly rounded: no libm call
 MTM_RATIO = 1e-12
+ROTATING_ANGLE = 1e-12  # hand-eye counts a motion as rotating when its angle exceeds this
 _BLOCK = 8192  # points per block of the point kernels: a row of a block is 64 KiB, so a block's rows stay in L2
 
 
@@ -185,7 +186,7 @@ def _rms(errs: np.ndarray) -> float:
 def _check_axis_diversity(alphas) -> None:
     """Reject motion sets whose rotation axes all lie on one line; alphas are the rotation vectors' (3, n) rows."""
     norms = np.sqrt(_sq(*alphas))
-    rotating = norms > 1e-12
+    rotating = norms > ROTATING_ANGLE
     axes = alphas[:, rotating] / norms[rotating]
     if axes.shape[1] < 2:
         raise DegenerateMotion("need at least 2 motions with nonzero rotation")

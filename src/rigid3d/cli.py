@@ -149,7 +149,7 @@ def _cmd_compose(args):
     acc = None
     for item in args.inputs:
         if "," in item:
-            # straight to UnitQuaternion: its 1e-6 gate, not the pose-file tolerance
+            # straight to UnitQuaternion: its value gate QUAT_TOL, not the pose files' repair gate (ROADMAP item 2)
             vals = _inline_floats(item, 7, "inline pose")
             poses = [_transform(quat_to_matrix(UnitQuaternion(*vals[3:])), vals[:3])]
         else:

@@ -162,7 +162,7 @@ def _poses(rows) -> list[Transform] | None:
 
     Both normalizations, _pose_from_fields' and UnitQuaternion's, and
     quat_to_matrix's elements run in their order on the columns, so each
-    Transform is the per-line one bit for bit. UnitQuaternion's 1e-6 gate
+    Transform is the per-line one bit for bit. UnitQuaternion's QUAT_TOL gate
     cannot fail: the first norm is within QUAT_REJECT_TOL of 1.
     """
     q = rows.T[3:]

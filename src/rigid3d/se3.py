@@ -35,6 +35,9 @@ from .so3 import (
 )
 from .validation import _finite, check_matrix, floats
 
+HOMOGENEOUS_ROW_TOL = 1e-9  # from_matrix4 rejects a last row farther than this from (0, 0, 0, 1)
+BLOCK_REPAIR_TOL = 1e-4  # from_matrix4 repairs a rotation block whose drift is within this, and rejects the rest
+
 
 class Transform(_Value):
     """SE(3) element stored as (rotation, translation)."""
@@ -182,14 +185,14 @@ def _matrix4(t: Transform) -> list[list[float]]:
 
 
 def from_matrix4(m) -> Transform:
-    """Extract (R, t); a block with det > 0 and orthogonality drift < 1e-4 is repaired."""
+    """Extract (R, t); a block with det > 0 and orthogonality drift within BLOCK_REPAIR_TOL is repaired."""
     m = check_matrix(m, (4, 4), "homogeneous matrix")
     x, y, z, w = m[3].tolist()
-    if math.sqrt(_sq(x, y, z) + (w - 1.0) * (w - 1.0)) > 1e-9:
+    if math.sqrt(_sq(x, y, z) + (w - 1.0) * (w - 1.0)) > HOMOGENEOUS_ROW_TOL:
         raise InvalidHomogeneousRow("last row must be (0, 0, 0, 1)")
     block = m[:3, :3]
     drift2, det = _defects(*block.ravel().tolist())
-    if not (math.sqrt(drift2) < 1e-4 and det > 0.0):
+    if not (math.sqrt(drift2) <= BLOCK_REPAIR_TOL and det > 0.0):
         raise NotARotation("rotation block deviates from SO(3) beyond the 1e-4 repair threshold")
     return _transform(_repair(block), m[:3, 3].tolist())
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Iterable
 
 from . import _numpy as np
 from .errors import (
@@ -26,7 +27,12 @@ from .errors import (
 )
 from .validation import _array, check_matrix, floats
 
-ORTHO_TOL = 1e-9
+ORTHO_TOL = 1e-9  # a rotation's drift ||R^T R - I|| and |det R - 1|: a caller's beyond it is rejected, a computed one repaired
+QUAT_TOL = 1e-6  # UnitQuaternion rejects a norm off 1 by more
+SKEW_TOL = 1e-9  # vee3 rejects an asymmetry ||S + S^T|| beyond this
+GIMBAL_TOL = 1e-7  # matrix_to_euler reports gimbal lock below this distance of |pitch| from pi/2
+SINGULAR_TOL = 1e-9  # orthonormalize rejects a smallest singular value below this
+REPAIR_DISTANCE = 0.5  # orthonormalize rejects a matrix farther than this from its polar factor
 SERIES_ANGLE = 1e-4  # exp, V and V^-1 take their coefficients from one half-angle evaluation, Taylor series below this angle
 EXP_MAX_COMPONENT = 1e100  # exp rejects larger |w_i|: the norm, and the cube of theta below, would overflow past ~1e102
 
@@ -104,9 +110,9 @@ def _overflow_ignored(fn):
 def _as(cls, x, name: str):
     """x as a cls, the public entries' one coercion rule: x if a cls, else cls._raw(x), which reads cls's one raw form.
 
-    Where cls has no _raw (Transform, Wrench, EulerAngles), or x is another library value, Rigid3dError names x's type.
+    Where cls has no _raw (Transform, Wrench, EulerAngles, Iterable), or x is another library value, Rigid3dError names x's type.
     """
-    if isinstance(x, cls):
+    if isinstance(x, cls) and (cls is not Iterable or not isinstance(x, (str, bytes))):  # no str or bytes as an Iterable
         return x
     raw = getattr(cls, "_raw", None)
     if raw is None or isinstance(x, _Value):
@@ -171,7 +177,7 @@ class UnitQuaternion(_Value):
         except (TypeError, ValueError, OverflowError) as exc:
             raise Rigid3dError(f"quaternion must be numeric: {exc}") from None
         n = _quat_norm(w, x, y, z)
-        if not abs(n - 1.0) <= 1e-6:  # written so that a NaN norm is rejected
+        if not abs(n - 1.0) <= QUAT_TOL:  # written so that a NaN norm is rejected
             raise NotUnitQuaternion(f"quaternion norm {n:.9g} deviates from 1 by more than 1e-6")
         self.__dict__.update(w=w / n, x=x / n, y=y / n, z=z / n)
 
@@ -227,7 +233,7 @@ def vee3(s) -> np.ndarray:
     """Inverse of hat3; input must be skew-symmetric within 1e-9."""
     s = floats(s, (3, 3), "skew matrix")
     r0, r1, r2 = ([x + y for x, y in zip(row, col)] for row, col in zip(s, zip(*s)))  # s + s^T: an overflow is inf, rejected
-    if math.sqrt(_sq(*r0) + _sq(*r1) + _sq(*r2)) >= 1e-9:
+    if math.sqrt(_sq(*r0) + _sq(*r1) + _sq(*r2)) > SKEW_TOL:
         raise NotSkewSymmetric("matrix is not skew-symmetric within 1e-9")
     return np.array([s[2][1], s[0][2], s[1][0]])
 
@@ -313,7 +319,7 @@ def matrix_to_euler(
     """
     m00, m01, _, m10, m11, _, m20, m21, m22 = _as(RotationMatrix, r_mat, "r_mat")._e
     pitch = math.atan2(-m20, math.hypot(m00, m10))
-    if (math.pi / 2.0) - abs(pitch) < 1e-7:
+    if (math.pi / 2.0) - abs(pitch) < GIMBAL_TOL:
         roll = 0.0
         yaw = math.atan2(-m01, m11)
         locked = True
@@ -335,10 +341,10 @@ def orthonormalize(m) -> RotationMatrix:
     """Nearest rotation in Frobenius norm, the polar factor of m; idempotent."""
     m = check_matrix(m, (3, 3), "matrix")
     r, sigma, _ = _nearest_rotation(m)
-    if sigma[-1] < 1e-9:
+    if sigma[-1] < SINGULAR_TOL:
         raise DegenerateMatrix("matrix is singular: smallest singular value below 1e-9")
     r0, r1, r2 = (m - r).tolist()  # an overflowing square gives inf, which is rejected
-    if math.sqrt(_sq(*r0) + _sq(*r1) + _sq(*r2)) > 0.5:
+    if math.sqrt(_sq(*r0) + _sq(*r1) + _sq(*r2)) > REPAIR_DISTANCE:
         raise DegenerateMatrix("matrix is too far from SO(3) to repair")
     return _repair(r)
 

@@ -1,14 +1,14 @@
-"""One coercion rule at every public entry: a wrong type, a string or None in any parameter raises a Rigid3dError.
+"""One coercion rule at every public entry: a wrong type, a string, bytes or None in any parameter raises a Rigid3dError.
 
 The walk covers every public name of rigid3d and the public methods of
 its classes, the estimators' fit, predict and transform among them. Each
 entry in CALLS gives a valid call; every parameter of it in turn is then
-replaced by a library value of another type, by a string and by None.
-A value-typed parameter that gets another library value, or that takes
-no raw form (Transform, Wrench, EulerAngles), answers with so3._as's one
-message, "<parameter> is of type <type>, not <class>", as do the rng and
-a pose list or stream that is not iterable. A public name in neither
-CALLS nor EXEMPT fails the walk.
+replaced by a library value of another type, by a string, by bytes and
+by None. A value-typed parameter that gets another library value, or
+that takes no raw form (Transform, Wrench, EulerAngles), answers with
+so3._as's one message, "<parameter> is of type <type>, not <class>", as
+do the rng and a pose list or stream that is not iterable or that is a
+str or bytes. A public name in neither CALLS nor EXEMPT fails the walk.
 """
 
 import inspect
@@ -142,9 +142,9 @@ NO_RAW_FORM = (r.Transform, r.Wrench, r.EulerAngles)
 
 
 def wrong_values(valid) -> list:
-    """A library value of another type than valid, a string and None."""
+    """A library value of another type than valid, a string, bytes and None."""
     other = H if not isinstance(valid, r.Wrench) else XI
-    return [other, "abc", None]
+    return [other, "abc", b"abc", None]
 
 
 def one_rule_message(valid, bad) -> str | None:
@@ -152,7 +152,7 @@ def one_rule_message(valid, bad) -> str | None:
 
     None leaves the message to a raw form's constructor, or to a parser.
     """
-    if isinstance(valid, (list, io.StringIO)) and not isinstance(bad, str):  # a pose list or a stream; a str is iterable
+    if isinstance(valid, (list, io.StringIO)):  # a pose list or a stream: a str or bytes is neither
         return f"is of type {type(bad).__name__}, not Iterable"
     if isinstance(valid, (np.random.Generator, *NO_RAW_FORM)) or (isinstance(valid, _Value) and isinstance(bad, _Value)):
         return f"is of type {type(bad).__name__}, not {type(valid).__name__}"

@@ -39,7 +39,7 @@ def near(rng, threshold):
 
 def vee3_ref(s):
     with np.errstate(over="ignore"):
-        if np.linalg.norm(s + s.T) >= 1e-9:
+        if np.linalg.norm(s + s.T) > 1e-9:
             raise NotSkewSymmetric("matrix is not skew-symmetric within 1e-9")
 
 

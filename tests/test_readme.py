@@ -3,10 +3,10 @@
 import pathlib
 import re
 
-from rigid3d import calibration, pose_io, so3
+from rigid3d import calibration, pose_io, se3, so3
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
-MODULES = {"so3": so3, "calibration": calibration, "pose_io": pose_io}
+MODULES = {"so3": so3, "se3": se3, "calibration": calibration, "pose_io": pose_io}
 
 
 def test_readme_constants_exist():

@@ -385,6 +385,9 @@ class TestHomogeneous:
         for _ in range(50):
             m = r.to_matrix4(random_transform(rng))
             assert r.to_matrix4(r.from_matrix4(m)).tobytes() == m.tobytes()
+            m[:3, :3] += 1e-11 * rng.standard_normal((3, 3))  # off SO(3), but within ORTHO_TOL: kept, not re-projected
+            assert 0.0 < drift(m[:3, :3]) <= ORTHO_TOL
+            assert r.to_matrix4(r.from_matrix4(m)).tobytes() == m.tobytes()
 
     def test_rejects_reflection(self, rng):
         m = r.to_matrix4(random_transform(rng))

@@ -172,10 +172,13 @@ class UnitQuaternion(_Value):
         self.__post_init__(w, x, y, z)
 
     def __post_init__(self, w, x, y, z):
-        try:
-            w, x, y, z = float(w), float(x), float(y), float(z)  # so an overflowing square is inf, with no warning
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise Rigid3dError(f"quaternion must be numeric: {exc}") from None
+        if not type(w) is type(x) is type(y) is type(z) is float:  # four floats, as the library passes them, are read as is
+            if any(isinstance(c, (str, bytes)) for c in (w, x, y, z)):
+                raise Rigid3dError("quaternion must be numeric: it contains text")  # _array's message
+            try:
+                w, x, y, z = float(w), float(x), float(y), float(z)  # so an overflowing square is inf, with no warning
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise Rigid3dError(f"quaternion must be numeric: {exc}") from None
         n = _quat_norm(w, x, y, z)
         if not abs(n - 1.0) <= QUAT_TOL:  # written so that a NaN norm is rejected
             raise NotUnitQuaternion(f"quaternion norm {n:.9g} deviates from 1 by more than 1e-6")
@@ -360,12 +363,11 @@ def geodesic_distance(a: RotationMatrix, b: RotationMatrix) -> float:
 
 
 def random_rotation(rng: np.random.Generator) -> RotationMatrix:
-    """Uniform random rotation (QR of a Gaussian matrix with sign fix)."""
-    q, r = np.linalg.qr(_as(np.random.Generator, rng, "rng").standard_normal((3, 3)))
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if np.linalg.det(q) < 0:
-        q[:, 2] = -q[:, 2]
-    return _repair(q)
+    """Uniform (Haar) random rotation: that of four normal draws over their norm, a point uniform on S^3 (Muller 1959; Shoemake 1992)."""
+    w = x = y = z = 0.0
+    while not (n := _quat_norm(w, x, y, z)):  # four exact zeros (about 2^-208) are drawn again
+        w, x, y, z = _as(np.random.Generator, rng, "rng").standard_normal(4).tolist()
+    return _repair(_quat_elements(w / n, x / n, y / n, z / n))
 
 
 def _hat(v) -> tuple:

@@ -30,11 +30,14 @@ def _finite(v: list, name: str) -> list:
 
 
 def _array(x, name: str) -> np.ndarray:
-    """x as a float64 array; Rigid3dError, naming x, where NumPy cannot read it as numbers (a string, a ragged list, 10**400)."""
+    """x as a float64 array; Rigid3dError, naming x, where it is not numbers (text, even '1', a ragged list, 10**400)."""
     try:
-        return np.asarray(x, dtype=float)
+        arr = np.asarray(x, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise Rigid3dError(f"{name} must be numeric: {exc}") from None
+    if arr is not x and np.asarray(x).dtype.kind in "US":  # NumPy parses numeric text; a float64 array is returned as is
+        raise Rigid3dError(f"{name} must be numeric: it contains text")
+    return arr
 
 
 def _checked(arr: np.ndarray, shape: tuple, name: str) -> np.ndarray:

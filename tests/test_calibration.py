@@ -414,7 +414,7 @@ class TestHandEye:
                 r.hand_eye_calibrate(a_list, b_list)
 
     @pytest.mark.xfail(
-        strict=True, raises=DegenerateMatrix, reason="known defect (ROADMAP item 2): 22 of 50 seeds raise DegenerateMatrix"
+        strict=True, raises=DegenerateMatrix, reason="known defect (ROADMAP item 2): 27 of 50 seeds raise DegenerateMatrix"
     )
     def test_exact_half_turn_motion_on_every_seed(self):
         # motion 5 replaced by a half turn from a w = 0 quaternion, so R_B is exactly symmetric

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -405,11 +406,21 @@ def skip_unless_runnable(child: str) -> None:
         pytest.skip(f"{coretype} needs CPU flags {', '.join(missing)}")
 
 
+def stdout_on_kernel(child: str, code: str) -> str:
+    """stdout of code run by a fresh interpreter under the OPENBLAS_CHILDREN entry child; the test skips where it cannot run."""
+    skip_unless_runnable(child)
+    coretype, _, extra_env = OPENBLAS_CHILDREN[child]
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update(OPENBLAS_CORETYPE=coretype, **extra_env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 @pytest.mark.parametrize("child", sorted(OPENBLAS_CHILDREN))
 def test_same_bytes_on_every_openblas_kernel(child):
     # the products run in plain + and *, so no BLAS kernel (and no NumPy SIMD loop) can move a digit
-    skip_unless_runnable(child)
-    coretype, _, extra_env = OPENBLAS_CHILDREN[child]
     argvs = [GOLDEN_CASES[n] for n in KERNEL_FREE] + [["compose", SINGLE_POSE, SINGLE_POSE]]
     code = (
         "import io, sys\n"
@@ -417,10 +428,24 @@ def test_same_bytes_on_every_openblas_kernel(child):
         f"for argv in {argvs!r}:\n"
         "    assert run_cli(argv, stdout=sys.stdout, stderr=io.StringIO()) == 0\n"
     )
-    src = str(pathlib.Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.update(OPENBLAS_CORETYPE=coretype, **extra_env)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60, text=True)
-    assert proc.returncode == 0, proc.stderr
     want = "".join((GOLDEN / f"{n}.json").read_text() for n in [*KERNEL_FREE, "compose"])
-    assert proc.stdout == want
+    assert stdout_on_kernel(child, code) == want
+
+
+# the nine elements of 200 seeded draws for each of five seeds, as hex floats
+RANDOM_ROTATION_DRAWS = (
+    "import numpy as np\n"
+    "import rigid3d as r\n"
+    "for seed in range(5):\n"
+    "    rng = np.random.default_rng(seed)\n"
+    "    print(' '.join(x.hex() for _ in range(200) for x in r.random_rotation(rng).m.ravel().tolist()))\n"
+)
+
+
+@pytest.mark.parametrize("child", sorted(OPENBLAS_CHILDREN))
+def test_random_rotation_draws_the_same_bytes_on_every_openblas_kernel(child):
+    # four normal draws taken to a rotation in + - * / and sqrt: no LAPACK routine, so no kernel moves a seeded draw
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(RANDOM_ROTATION_DRAWS, {})
+    assert stdout_on_kernel(child, RANDOM_ROTATION_DRAWS) == here.getvalue()

@@ -1,14 +1,16 @@
-"""One coercion rule at every public entry: a wrong type, a string, bytes or None in any parameter raises a Rigid3dError.
+"""One coercion rule at every public entry: a wrong type, a string, bytes, None or numeric text in any parameter raises a Rigid3dError.
 
 The walk covers every public name of rigid3d and the public methods of
 its classes, the estimators' fit, predict and transform among them. Each
 entry in CALLS gives a valid call; every parameter of it in turn is then
-replaced by a library value of another type, by a string, by bytes and
-by None. A value-typed parameter that gets another library value, or
-that takes no raw form (Transform, Wrench, EulerAngles), answers with
-so3._as's one message, "<parameter> is of type <type>, not <class>", as
-do the rng and a pose list or stream that is not iterable or that is a
-str or bytes. A public name in neither CALLS nor EXEMPT fails the walk.
+replaced by a library value of another type, by a string, by bytes, by
+None and by numeric text ('1', b'1' and an array's list with one element
+as text), which a numeric parameter refuses as text rather than reading.
+A value-typed parameter that gets another library value, or that takes
+no raw form (Transform, Wrench, EulerAngles), answers with so3._as's one
+message, "<parameter> is of type <type>, not <class>", as do the rng and
+a pose list or stream that is not iterable or that is a str or bytes. A
+public name in neither CALLS nor EXEMPT fails the walk.
 """
 
 import inspect
@@ -147,6 +149,19 @@ def wrong_values(valid) -> list:
     return [other, "abc", b"abc", None]
 
 
+def numeric_text(valid) -> list:
+    """Text that float() and NumPy would read as numbers: '1', b'1' and, for an array, valid as a list with its first element as text."""
+    if not isinstance(valid, np.ndarray):
+        return ["1", b"1"]
+    mixed = valid.astype(object)
+    mixed.flat[0] = str(mixed.flat[0])
+    return ["1", b"1", mixed.tolist()]
+
+
+# the parameters whose raw form is numbers: numeric text there is refused as text, not read
+NUMERIC = (np.ndarray, float, r.RotationMatrix, r.UnitQuaternion, r.Twist)
+
+
 def one_rule_message(valid, bad) -> str | None:
     """The rest of _as's message after the parameter's name, where the one rule names bad's type, else None.
 
@@ -166,7 +181,8 @@ def test_a_wrong_type_string_or_none_raises_rigid3d_error(name):
     probed = [p for p in parameters(fn) if (name, p) not in EXEMPT_PARAMETERS]
     assert len(probed) == len(args)
     for i, param in enumerate(probed):
-        for bad in wrong_values(args[i]):
+        text = numeric_text(args[i])
+        for bad in wrong_values(args[i]) + text:
             fn, args = CALLS[name]()
             with pytest.raises(Exception) as exc:
                 fn(*args[:i], bad, *args[i + 1 :])
@@ -175,6 +191,8 @@ def test_a_wrong_type_string_or_none_raises_rigid3d_error(name):
             # an estimator's fit names the parameter of the solver that it hands X or y to
             solver_param = said.split(" ")[0] if name.endswith((".fit", ".fit_transform")) else param
             assert message is None or said == f"{solver_param} {message}", (param, bad)
+            if message is None and bad in text and isinstance(args[i], NUMERIC):
+                assert said.endswith(" must be numeric: it contains text"), (param, bad, said)
 
 
 def test_the_exempt_names_exist():

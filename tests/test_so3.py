@@ -546,6 +546,33 @@ class TestGeodesic:
             assert abs(d - r.geodesic_distance(b, a)) < 1e-12
 
 
+class TestRandomRotation:
+    def test_is_the_rotation_of_four_normal_draws(self):
+        g = np.random.default_rng(7).standard_normal(4)
+        want = r.quat_to_matrix(r.UnitQuaternion(*(g / math.sqrt(float(g @ g))).tolist()))
+        np.testing.assert_allclose(r.random_rotation(np.random.default_rng(7)).m, want.m, rtol=0, atol=1e-15)
+
+    def test_angle_follows_the_haar_measure(self):
+        # Kolmogorov-Smirnov against the angle's Haar CDF F(t) = (t - sin t) / pi; 1.9495 / sqrt(n) is the alpha = 0.001 bound
+        rng = np.random.default_rng(2026)
+        n = 20_000
+        theta = np.sort([r.geodesic_distance(r.RotationMatrix.identity(), r.random_rotation(rng)) for _ in range(n)])
+        cdf = (theta - np.sin(theta)) / math.pi
+        ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert ks < 1.9495 / math.sqrt(n)  # 0.0138
+
+    def test_four_zero_draws_are_drawn_again(self):
+        class ZerosFirst(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                self.draws = getattr(self, "draws", 0) + 1
+                return np.zeros(4) if self.draws == 1 else super().standard_normal(*args, **kwargs)
+
+        rng = ZerosFirst(np.random.PCG64(5))
+        rot = r.random_rotation(rng)
+        assert rng.draws == 2
+        assert rot == r.random_rotation(np.random.default_rng(5))
+
+
 def test_all_emitted_rotations_are_valid(rng):
     # every constructor path goes through RotationMatrix validation
     for _ in range(200):

@@ -39,8 +39,20 @@ def test_error_messages(call, message):
             lambda: r.Twist(np.zeros(3), {}),
             "twist angular part must be numeric: float() argument must be a string or a real number, not 'dict'",
         ),
+        # numeric text, which float() and NumPy would read as numbers
+        (lambda: r.so3_exp(["0.1", "0", "0"]), "rotation vector must be numeric: it contains text"),
+        (lambda: r.Transform(np.eye(3), ["1", "2", "3"]), "translation must be numeric: it contains text"),
+        (lambda: r.RotationMatrix([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]), "rotation matrix must be numeric: it contains text"),
+        (lambda: r.RotationMatrix(np.eye(3).astype(str)), "rotation matrix must be numeric: it contains text"),
+        (lambda: r.UnitQuaternion("1", "0", "0", "0"), "quaternion must be numeric: it contains text"),
+        (lambda: r.UnitQuaternion(b"1", b"0", b"0", b"0"), "quaternion must be numeric: it contains text"),
+        (lambda: r.UnitQuaternion(np.str_("1"), 0.0, 0.0, 0.0), "quaternion must be numeric: it contains text"),
     ],
-    ids=["Transform", "register_point_sets", "RotationMatrix", "Twist"],
+    ids=[
+        "Transform", "register_point_sets", "RotationMatrix", "Twist", "so3_exp-text", "Transform-text",
+        "RotationMatrix-text", "RotationMatrix-text-array", "UnitQuaternion-text", "UnitQuaternion-bytes",
+        "UnitQuaternion-np.str_",
+    ],
 )
 def test_non_numeric_input_is_named(call, message):
     raises_exactly(call, Rigid3dError, message)
@@ -156,6 +168,16 @@ def test_int_past_double_range_message(entry):
     x = np.eye(3).tolist() if shape == (3, 3) else [0.0] * shape[0]
     (x[0] if shape == (3, 3) else x)[0] = 10**400
     raises_exactly(lambda: build(x), Rigid3dError, f"{name} must be numeric: int too large to convert to float")
+
+
+@pytest.mark.parametrize("entry", NUMERIC_ENTRIES)
+@pytest.mark.parametrize("text", ["1", b"1"], ids=["str", "bytes"])
+def test_numeric_text_message(entry, text):
+    # float() and np.asarray would read the text as 1.0 and accept the value; it is refused as text
+    build, name, shape = NUMERIC_ENTRIES[entry]
+    x = np.eye(3).tolist() if shape == (3, 3) else [1.0] + [0.0] * (shape[0] - 1)
+    (x[0] if shape == (3, 3) else x)[0] = text
+    raises_exactly(lambda: build(x), Rigid3dError, f"{name} must be numeric: it contains text")
 
 
 @pytest.mark.parametrize("slot", ["RotationMatrix", "Transform.rotation"])

@@ -119,13 +119,13 @@ def transform_point(t: Transform, p) -> np.ndarray:
     """R p + t; a result that overflows raises Rigid3dError."""
     t = _as(Transform, t, "t")
     rp = _apply(t.rotation._e, floats(p, (3,), "point"))
-    return check_matrix([x + y for x, y in zip(rp, t._t)], (3,), "transformed point")
+    return check_matrix(np.array([x + y for x, y in zip(rp, t._t)]), (3,), "transformed point")
 
 
 def transform_direction(t: Transform, v) -> np.ndarray:
     """R v; a result that overflows raises Rigid3dError."""
     rv = _apply(_as(Transform, t, "t").rotation._e, floats(v, (3,), "direction"))
-    return check_matrix(rv, (3,), "transformed direction")
+    return check_matrix(np.array(rv), (3,), "transformed direction")
 
 
 def se3_exp(xi: Twist) -> Transform:

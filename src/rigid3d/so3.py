@@ -337,7 +337,7 @@ def matrix_to_euler(
 def rotate(r_mat: RotationMatrix, v) -> np.ndarray:
     """Apply the rotation to a 3-vector; a result that overflows raises Rigid3dError."""
     m = _as(RotationMatrix, r_mat, "r_mat")._e
-    return check_matrix(_apply(m, floats(v, (3,), "vector")), (3,), "rotated vector")
+    return check_matrix(np.array(_apply(m, floats(v, (3,), "vector"))), (3,), "rotated vector")
 
 
 def orthonormalize(m) -> RotationMatrix:
@@ -535,7 +535,7 @@ def _nearest_rotation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
 def _quat_norm(w, x, y, z) -> float:
     """Euclidean norm of a quaternion's components, + and * only; inf where a square overflows."""
-    return math.sqrt(w * w + x * x + y * y + z * z)  # _quat_sq, written out: UnitQuaternion calls this on every value
+    return math.sqrt(_quat_sq(w, x, y, z))
 
 
 def _quat_sq(w, x, y, z):

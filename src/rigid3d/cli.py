@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 
@@ -47,35 +48,44 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _pose_source(p: _Parser) -> _Parser:
+    p.add_argument("--pose", help="inline pose tx,ty,tz,qw,qx,qy,qz")
+    p.add_argument("--input", help="pose CSV file (first pose is used)")
+    return p
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rigid3d", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("convert", help="print one pose in another representation")
-    p.add_argument("--pose", help="inline pose tx,ty,tz,qw,qx,qy,qz")
-    p.add_argument("--input", help="pose CSV file (first pose is used)")
+    p = _pose_source(sub.add_parser("convert", help="print one pose in another representation"))
     p.add_argument("--to", required=True, choices=["matrix4", "quat", "euler-zyx", "rotvec"])
+    p.set_defaults(run=_cmd_convert)
 
     p = sub.add_parser("compose", help="chain poses from flags and/or files")
     p.add_argument("inputs", nargs="+", help="inline pose tuples or pose CSV files, composed left to right")
+    p.set_defaults(run=_cmd_compose)
 
     p = sub.add_parser("exp", help="exponential map of a twist")
     p.add_argument("--twist", required=True, help="v1,v2,v3,w1,w2,w3")
+    p.set_defaults(run=_cmd_exp)
 
-    p = sub.add_parser("log", help="logarithm map of a pose")
-    p.add_argument("--pose", help="inline pose tx,ty,tz,qw,qx,qy,qz")
-    p.add_argument("--input", help="pose CSV file (first pose is used)")
+    p = _pose_source(sub.add_parser("log", help="logarithm map of a pose"))
+    p.set_defaults(run=_cmd_log)
 
     p = sub.add_parser("register", help="rigid point-set registration (index-paired CSVs)")
     p.add_argument("source", help="source point CSV")
     p.add_argument("target", help="target point CSV")
+    p.set_defaults(run=_cmd_register)
 
     p = sub.add_parser("pivot", help="pivot calibration from a pose CSV")
     p.add_argument("poses", help="pose CSV")
+    p.set_defaults(run=_cmd_pivot)
 
     p = sub.add_parser("handeye", help="hand-eye AX=XB from two absolute pose streams")
     p.add_argument("stream_a", help="pose CSV for frame A")
     p.add_argument("stream_b", help="pose CSV for frame B")
+    p.set_defaults(run=_cmd_handeye)
     return parser
 
 
@@ -148,7 +158,7 @@ def _cmd_convert(args):
 def _cmd_compose(args):
     acc = None
     for item in args.inputs:
-        if "," in item:
+        if "," in item and not os.path.exists(item):
             # straight to UnitQuaternion: its value gate QUAT_TOL, not the pose files' repair gate (ROADMAP item 2)
             vals = _inline_floats(item, 7, "inline pose")
             poses = [_transform(quat_to_matrix(UnitQuaternion(*vals[3:])), vals[:3])]
@@ -207,23 +217,12 @@ def _cmd_handeye(args):
     )
 
 
-_COMMANDS = {
-    "convert": _cmd_convert,
-    "compose": _cmd_compose,
-    "exp": _cmd_exp,
-    "log": _cmd_log,
-    "register": _cmd_register,
-    "pivot": _cmd_pivot,
-    "handeye": _cmd_handeye,
-}
-
-
 def run_cli(argv, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
         args = _build_parser().parse_args(argv)
-        result, residuals, summary = _COMMANDS[args.subcommand](args)
+        result, residuals, summary = args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=stderr)
         return EXIT_USAGE

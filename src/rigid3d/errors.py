@@ -57,6 +57,10 @@ class ParseError(Rigid3dError):
         self.reason = reason
         super().__init__(f"line {line}: {reason}")
 
+    def __reduce__(self):
+        # args holds only the message, so pickle rebuilds from __init__'s fields (an error from a worker process re-raises)
+        return type(self), (self.line, self.reason), self.__dict__
+
 
 class NonUnitQuaternion(ParseError):
     """Quaternion in a pose file is too far from unit norm to trust."""
@@ -64,3 +68,6 @@ class NonUnitQuaternion(ParseError):
     def __init__(self, line: int, norm: float):
         self.norm = norm
         ParseError.__init__(self, line, f"quaternion norm {norm:.6g} deviates from 1 by more than 1e-3")
+
+    def __reduce__(self):
+        return type(self), (self.line, self.norm), self.__dict__

@@ -51,6 +51,16 @@ def test_golden(name):
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse lays out help differently on other Pythons; the pins are 3.11's")
+@pytest.mark.parametrize("name", ["rigid3d", "convert", "compose", "exp", "log", "register", "pivot", "handeye"])
+def test_help_text(name, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    with pytest.raises(SystemExit) as stop:
+        run_cli(["--help"] if name == "rigid3d" else [name, "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == (GOLDEN / "help" / f"{name}.txt").read_text()
+
+
 @pytest.mark.parametrize("name", ["exp", "log"])
 def test_module_entry_point(name):
     # the process path: python -m rigid3d.cli runs main(), which exits with run_cli's code
@@ -344,6 +354,15 @@ def test_inline_compose_full_precision():
     code, out, _ = run(["compose", SINGLE_POSE, SINGLE_POSE])
     assert code == 0
     assert out == (GOLDEN / "compose.json").read_text()
+
+
+def test_compose_reads_a_file_whose_name_has_a_comma(tmp_path):
+    # an argument that names an existing file is read as one; any other argument with a comma is an inline pose
+    comma_file = tmp_path / "p,1.csv"
+    comma_file.write_text((FIXTURES / "pose_single.csv").read_text())
+    code, out, _ = run(["compose", str(comma_file), str(comma_file)])
+    assert code == 0
+    assert out == run(["compose", SINGLE_POSE_FILE, SINGLE_POSE_FILE])[1]
 
 
 # argparse takes a token that starts with "-" for an option unless it is a lone number. No rigid3d

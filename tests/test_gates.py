@@ -19,6 +19,7 @@ that a comparison reads is a row, and every message and README bullet that quote
 constant's value.
 """
 
+import argparse
 import ast
 import importlib
 import io
@@ -36,7 +37,7 @@ import pytest
 
 import rigid3d as r
 from rigid3d import calibration, pose_io, se3, so3
-from rigid3d.cli import _COMMANDS, UsageError, run_cli
+from rigid3d.cli import UsageError, _build_parser, run_cli
 from rigid3d.errors import (
     DegenerateGeometry,
     DegenerateMatrix,
@@ -536,7 +537,8 @@ def test_the_table_has_one_row_per_constant_and_a_kind_for_each():
 def test_every_pose_reading_command_is_an_entry_of_the_pose_gate():
     pose_gate = next(g for g in GATES if g.constant == "pose_io.QUAT_REJECT_TOL")
     commands = {e.label.split()[1] for e in pose_gate.entries if e.cli}
-    assert commands == set(_COMMANDS) - {"exp", "register"}  # exp reads a twist, register reads points
+    subcommands = next(a.choices for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert commands == set(subcommands) - {"exp", "register"}  # exp reads a twist, register reads points
 
 
 def sources() -> dict:
